@@ -25,7 +25,7 @@ std::vector<IndexEntry> ScaledEntries(int factor) {
 void BM_IndexCreation(benchmark::State& state, IndexBackend backend) {
   const auto entries = ScaledEntries(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto index = MakeLogicalTimeIndex(backend).value();
+    auto index = MakeLogicalTimeIndex(backend);
     index->Build(entries);
     benchmark::DoNotOptimize(index);
   }
@@ -69,7 +69,7 @@ void PrintFig5aTable() {
          {IndexBackend::kNaiveJoin, IndexBackend::kAvlTree,
           IndexBackend::kIntervalTree}) {
       times[column++] = bench::TimeSeconds([&] {
-        auto index = MakeLogicalTimeIndex(backend).value();
+        auto index = MakeLogicalTimeIndex(backend);
         index->Build(entries);
         benchmark::DoNotOptimize(index);
       });
@@ -91,7 +91,7 @@ void PrintTable6() {
     for (IndexBackend backend :
          {IndexBackend::kNaiveJoin, IndexBackend::kAvlTree,
           IndexBackend::kIntervalTree}) {
-      auto index = MakeLogicalTimeIndex(backend).value();
+      auto index = MakeLogicalTimeIndex(backend);
       index->Build(entries);
       megabytes[column++] =
           static_cast<double>(index->MemoryUsageBytes()) / (1024.0 * 1024.0);

@@ -109,7 +109,7 @@ void PrintFig5bAnd5c() {
     for (IndexBackend backend :
          {IndexBackend::kNaiveJoin, IndexBackend::kAvlTree,
           IndexBackend::kIntervalTree}) {
-      auto index = MakeLogicalTimeIndex(backend).value();
+      auto index = MakeLogicalTimeIndex(backend);
       row.creation[column] =
           bench::TimeSeconds([&] { index->Build(entries); });
       row.query[column] = bench::TimeSeconds([&] {

@@ -26,7 +26,7 @@ int main() {
   for (IndexBackend backend :
        {IndexBackend::kNaiveJoin, IndexBackend::kAvlTree,
         IndexBackend::kIntervalTree}) {
-    auto index = MakeLogicalTimeIndex(backend).value();
+    auto index = MakeLogicalTimeIndex(backend);
     index->Build(entries);
     std::vector<std::int64_t> ids;
     index->Collect(RccStatusCategory::kNotCreated, 50.0, &ids);

@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cstdlib>
 #include <iomanip>
 
 namespace domd {
@@ -48,8 +49,30 @@ Loss PipelineConfig::MakeLoss() const {
       return Loss::Absolute();
     case LossKind::kPseudoHuber:
       return Loss::PseudoHuber(huber_delta);
+    case LossKind::kQuantile:
+      return Loss::Quantile(huber_delta);
   }
-  return Loss::Squared();
+  std::abort();  // Validate() rejects out-of-range kinds.
+}
+
+Status PipelineConfig::Validate() const {
+  // `last` is the highest enumerator this pipeline trains with.
+  const auto check = [](const char* field, auto value, auto last) {
+    const int raw = static_cast<int>(value);
+    if (raw >= 0 && raw <= static_cast<int>(last)) return Status::OK();
+    return Status::InvalidArgument("pipeline config: unsupported " +
+                                   std::string(field) + " " +
+                                   std::to_string(raw));
+  };
+  DOMD_RETURN_IF_ERROR(
+      check("selection", selection, SelectionMethod::kMutualInformationApprox));
+  DOMD_RETURN_IF_ERROR(
+      check("model family", model_family, ModelFamily::kElasticNet));
+  DOMD_RETURN_IF_ERROR(
+      check("architecture", architecture, Architecture::kStacked));
+  DOMD_RETURN_IF_ERROR(check("loss", loss, LossKind::kPseudoHuber));
+  DOMD_RETURN_IF_ERROR(check("fusion", fusion, FusionMethod::kWeightedRecent));
+  return check("split method", gbt.tree.split_method, SplitMethod::kHistogram);
 }
 
 void PipelineConfig::Save(std::ostream& out) const {
@@ -102,6 +125,7 @@ StatusOr<PipelineConfig> PipelineConfig::Load(std::istream& in) {
   config.loss = static_cast<LossKind>(loss);
   config.fusion = static_cast<FusionMethod>(fusion);
   config.gbt.tree.split_method = static_cast<SplitMethod>(split_method);
+  DOMD_RETURN_IF_ERROR(config.Validate());
   return config;
 }
 

@@ -82,8 +82,15 @@ struct PipelineConfig {
   /// bit-identical results — the cache is purely an identity optimization.
   std::size_t cache_bytes = kDefaultViewCacheBytes;
 
-  /// Materializes the configured loss.
+  /// Materializes the configured loss; huber_delta is its one parameter
+  /// (the quantile level for kQuantile).
   Loss MakeLoss() const;
+
+  /// kInvalidArgument unless every enum field names one of its
+  /// enumerators. Also rejects LossKind::kQuantile: the timeline pipeline
+  /// trains point estimates only. Load() and DomdEstimator::Train() call
+  /// this, so a bad config fails instead of training some other loss.
+  Status Validate() const;
 
   /// One-line human-readable summary.
   std::string ToString() const;

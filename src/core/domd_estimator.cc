@@ -13,6 +13,7 @@ namespace domd {
 StatusOr<DomdEstimator> DomdEstimator::Train(
     const Dataset* data, const PipelineConfig& config,
     const std::vector<std::int64_t>& train_ids) {
+  DOMD_RETURN_IF_ERROR(config.Validate());
   if (train_ids.empty()) {
     return Status::InvalidArgument("DomdEstimator: empty training set");
   }

@@ -71,7 +71,7 @@ GroupedRccIndex::GroupedRccIndex(const Dataset& data, IndexBackend backend)
   }
   nodes_.reserve(per_group.size());
   for (auto& entries : per_group) {
-    auto index = MakeLogicalTimeIndex(backend).value();
+    auto index = MakeLogicalTimeIndex(backend);
     index->Build(entries);
     nodes_.push_back(std::move(index));
   }

@@ -2,37 +2,18 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
 #include "cache/fingerprint.h"
-#include "data/logical_time.h"
 #include "fault/fault.h"
-#include "index/group_tree.h"
 
 namespace domd {
 namespace {
 
-/// Binary search in a frozen run (sorted by (kind, id)).
-const IngestMutation* FindInRun(const DeltaRun& run, MutationKind kind,
-                                std::int64_t id) {
-  const std::pair<int, std::int64_t> key{static_cast<int>(kind), id};
-  const auto it = std::lower_bound(
-      run.mutations.begin(), run.mutations.end(), key,
-      [](const IngestMutation& m, const std::pair<int, std::int64_t>& k) {
-        return std::pair<int, std::int64_t>(static_cast<int>(m.kind),
-                                            m.key_id()) < k;
-      });
-  if (it == run.mutations.end() || it->kind != kind || it->key_id() != id) {
-    return nullptr;
-  }
-  return &*it;
-}
-
 /// Applies mutations in their original append (= sequence) order on top
-/// of a copy of the base. Sequence order — not the memtable's key order —
-/// is load-bearing for replication (DESIGN.md §15): applying a history
+/// of a copy of the base. Sequence order — not any key order — is
+/// load-bearing for replication (DESIGN.md §15): applying a history
 /// prefix and then the rest produces the same tables, row for row, as
 /// applying everything at once, so replicas that merge at different cut
 /// points still converge to bit-identical epochs. Re-applying an
@@ -53,70 +34,6 @@ std::shared_ptr<const Dataset> Materialize(
   return merged;
 }
 
-/// One (t*_start, t*_end, id) entry for an RCC of `data`, exactly as
-/// BuildIndexEntries computes it for the base build.
-bool EntryFor(const Dataset& data, std::int64_t rcc_id, IndexEntry* out) {
-  const auto rcc = data.rccs.Find(rcc_id);
-  if (!rcc.ok()) return false;
-  const auto avail = data.avails.Find((*rcc)->avail_id);
-  if (!avail.ok()) return false;
-  out->id = rcc_id;
-  out->start = LogicalTime(**avail, (*rcc)->creation_date);
-  out->end = (*rcc)->settled_date.has_value()
-                 ? LogicalTime(**avail, *(*rcc)->settled_date)
-                 : IndexEntry::kOpenEnd;
-  return true;
-}
-
-/// Builds the delta-overlay view for a dirty snapshot: pending RCC
-/// upserts supersede their base entries and re-enter with their merged
-/// intervals; a pending avail amend re-times every base RCC under that
-/// avail (their logical-time mapping depends on the avail's planned
-/// window).
-std::shared_ptr<const LogicalTimeIndex> BuildOverlay(
-    const Dataset& base, const Dataset& merged,
-    std::shared_ptr<const LogicalTimeIndex> base_index,
-    const std::vector<IngestMutation>& ordered) {
-  std::set<std::int64_t> readd;  // ordered: deterministic overlay order.
-  std::unordered_set<std::int64_t> superseded;
-  const auto consider = [&](const IngestMutation& mutation) {
-    if (mutation.kind == MutationKind::kAvailUpsert) {
-      if (!base.avails.Find(mutation.avail.id).ok()) return;
-      for (const std::size_t row :
-           base.rccs.RowsForAvail(mutation.avail.id)) {
-        const std::int64_t id = base.rccs.rows()[row].id;
-        superseded.insert(id);
-        readd.insert(id);
-      }
-    } else {
-      if (base.rccs.Find(mutation.rcc.id).ok()) {
-        superseded.insert(mutation.rcc.id);
-      }
-      readd.insert(mutation.rcc.id);
-    }
-  };
-  for (const IngestMutation& mutation : ordered) consider(mutation);
-
-  DeltaOverlayConfig config;
-  config.base = std::move(base_index);
-  config.superseded.assign(superseded.begin(), superseded.end());
-  config.overlay.reserve(readd.size());
-  for (const std::int64_t id : readd) {
-    IndexEntry entry;
-    if (EntryFor(merged, id, &entry)) config.overlay.push_back(entry);
-  }
-  auto overlay =
-      MakeLogicalTimeIndex(IndexBackend::kDeltaOverlay, std::move(config));
-  return std::shared_ptr<const LogicalTimeIndex>(std::move(*overlay));
-}
-
-std::shared_ptr<const LogicalTimeIndex> BuildBaseIndex(
-    const Dataset& data, IndexBackend backend) {
-  auto index = MakeLogicalTimeIndex(backend).value();
-  index->Build(BuildIndexEntries(data));
-  return std::shared_ptr<const LogicalTimeIndex>(std::move(index));
-}
-
 }  // namespace
 
 std::uint64_t DataStore::EpochOf(const Dataset& data) {
@@ -130,16 +47,10 @@ std::uint64_t DataStore::EpochOf(const Dataset& data) {
 
 StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
     Dataset base, DataStoreOptions options) {
-  if (options.index_backend == IndexBackend::kDeltaOverlay) {
-    return Status::InvalidArgument(
-        "DataStore: the base index backend must be self-contained");
-  }
   auto store = std::unique_ptr<DataStore>(new DataStore());
   store->options_ = std::move(options);
   store->base_ = std::make_shared<const Dataset>(std::move(base));
   store->base_epoch_ = EpochOf(*store->base_);
-  store->base_index_ =
-      BuildBaseIndex(*store->base_, store->options_.index_backend);
   if (!store->options_.log_path.empty()) {
     IngestLog::ReplayResult replay;
     auto log = IngestLog::Open(store->options_.log_path, &replay);
@@ -153,8 +64,8 @@ StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
       store->last_chain_ =
           MutationChain(store->last_chain_, EncodeMutation(mutation));
       ++store->last_seq_;
-      store->tail_.push_back({mutation, store->last_chain_});
-      store->memtable_.Apply(std::move(mutation));
+      store->NotePendingLocked(mutation);
+      store->tail_.push_back({std::move(mutation), store->last_chain_});
     }
     store->replayed_ = replay.records.size();
     if (store->replayed_ > 0) store->generation_ = 1;
@@ -195,21 +106,20 @@ DataStore::~DataStore() {
 }
 
 bool DataStore::HasAvailLocked(std::int64_t avail_id) const {
-  if (memtable_.Find(MutationKind::kAvailUpsert, avail_id) != nullptr) {
-    return true;
-  }
-  for (const auto& run : runs_) {
-    if (FindInRun(*run, MutationKind::kAvailUpsert, avail_id) != nullptr) {
-      return true;
-    }
-  }
-  return base_->avails.Find(avail_id).ok();
+  return base_->avails.Find(avail_id).ok() ||
+         pending_avails_.count(avail_id) > 0;
 }
 
 std::size_t DataStore::PendingLocked() const {
-  std::size_t pending = memtable_.size();
-  for (const auto& run : runs_) pending += run->mutations.size();
-  return pending;
+  return pending_avails_.size() + pending_rccs_.size();
+}
+
+void DataStore::NotePendingLocked(const IngestMutation& mutation) {
+  if (mutation.kind == MutationKind::kAvailUpsert) {
+    pending_avails_.insert(mutation.avail.id);
+  } else {
+    pending_rccs_.insert(mutation.rcc.id);
+  }
 }
 
 Status DataStore::ValidateBatchLocked(
@@ -236,7 +146,7 @@ void DataStore::AbsorbBatchLocked(
     last_chain_ = MutationChain(last_chain_, EncodeMutation(mutation));
     ++last_seq_;
     tail_.push_back({mutation, last_chain_});
-    memtable_.Apply(mutation);
+    NotePendingLocked(mutation);
   }
   ++generation_;
   if (options_.merge_threshold > 0 &&
@@ -251,7 +161,7 @@ Status DataStore::Append(const IngestMutation& mutation) {
 
 Status DataStore::AppendBatch(const std::vector<IngestMutation>& mutations,
                               std::uint64_t* last_seq) {
-  // Validation, log write, and memtable apply all happen under append_mu_
+  // Validation, log write, and tail apply all happen under append_mu_
   // (mu_ is taken inside it, matching Merge's rotation block): referential
   // checks and visibility use one consistent cut, so an RCC referencing an
   // avail from any previously acknowledged batch can never be spuriously
@@ -425,7 +335,6 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   }
   auto merged = std::make_shared<const Dataset>(std::move(data));
   const std::uint64_t new_epoch = EpochOf(*merged);
-  auto new_index = BuildBaseIndex(*merged, options_.index_backend);
 
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
   std::lock_guard<std::mutex> append_lock(append_mu_);
@@ -442,10 +351,9 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   {
     std::lock_guard<std::mutex> lock(mu_);
     base_ = std::move(merged);
-    base_index_ = std::move(new_index);
     base_epoch_ = new_epoch;
-    runs_.clear();
-    (void)memtable_.Freeze();
+    pending_avails_.clear();
+    pending_rccs_.clear();
     tail_.clear();
     tail_base_seq_ = last_seq;
     tail_base_chain_ = chain;
@@ -467,17 +375,8 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   return Status::OK();
 }
 
-void DataStore::FlushDelta() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (memtable_.empty()) return;
-  runs_.push_back(memtable_.Freeze());
-  // Content is unchanged (the run holds exactly the memtable's rows), so
-  // the cached snapshot stays valid and the generation does not move.
-}
-
 std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
   std::shared_ptr<const Dataset> base;
-  std::shared_ptr<const LogicalTimeIndex> base_index;
   std::vector<IngestMutation> tail;
   std::size_t depth = 0;
   std::uint64_t generation = 0;
@@ -489,7 +388,6 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
     }
     generation = generation_;
     base = base_;
-    base_index = base_index_;
     base_epoch = base_epoch_;
     depth = PendingLocked();
     if (depth > 0) {
@@ -502,18 +400,15 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
   }
 
   auto snapshot = std::shared_ptr<DataSnapshot>(new DataSnapshot());
-  snapshot->base_epoch_ = base_epoch;
   snapshot->delta_depth_ = depth;
   if (depth == 0) {
     snapshot->data_ = base;
-    snapshot->index_ = base_index;
     snapshot->epoch_ = base_epoch;
   } else {
     // Materialization happens outside the lock: appends keep landing in
-    // the memtable while this cut is assembled.
+    // the tail while this cut is assembled.
     auto merged = Materialize(*base, tail);
     snapshot->epoch_ = EpochOf(*merged);
-    snapshot->index_ = BuildOverlay(*base, *merged, base_index, tail);
     snapshot->data_ = std::move(merged);
   }
 
@@ -532,34 +427,28 @@ StatusOr<MergeStats> DataStore::Merge() {
 
   std::shared_ptr<const Dataset> base;
   std::vector<IngestMutation> cut;
-  std::size_t cut_runs = 0;
   std::uint64_t cut_seq = 0;
   MergeStats stats;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!memtable_.empty()) runs_.push_back(memtable_.Freeze());
     base = base_;
-    cut_runs = runs_.size();
     cut_seq = last_seq_;
-    // The merge input is the append-order tail, not the key-sorted runs:
-    // sequence order keeps the merged row order — and with it the epoch —
-    // a pure function of history, independent of where this replica's
-    // merge cuts happen to land (see Materialize).
+    // The merge input is the append-order tail: sequence order keeps the
+    // merged row order — and with it the epoch — a pure function of
+    // history, independent of where this replica's merge cuts happen to
+    // land (see Materialize).
     cut.reserve(tail_.size());
     for (const TailRecord& record : tail_) cut.push_back(record.mutation);
-    for (const auto& run : runs_) {
-      stats.merged_mutations += run->mutations.size();
-    }
+    stats.merged_mutations = PendingLocked();
     stats.old_epoch = base_epoch_;
     stats.new_epoch = base_epoch_;
   }
   if (stats.merged_mutations == 0) return stats;
 
   // The expensive half runs without any store lock: copy + apply + epoch
-  // fingerprint + full index rebuild over the merged tables.
+  // fingerprint over the merged tables.
   auto merged = Materialize(*base, cut);
   const std::uint64_t new_epoch = EpochOf(*merged);
-  auto new_index = BuildBaseIndex(*merged, options_.index_backend);
 
   const Status fault = DOMD_FAULT_POINT("ingest.merge.commit").Check();
   if (!fault.ok()) {
@@ -588,10 +477,7 @@ StatusOr<MergeStats> DataStore::Merge() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     base_ = std::move(merged);
-    base_index_ = std::move(new_index);
     base_epoch_ = new_epoch;
-    runs_.erase(runs_.begin(),
-                runs_.begin() + static_cast<std::ptrdiff_t>(cut_runs));
     if (log_ == nullptr || will_rotate) {
       // The new base embodies the tail through cut_seq — drop that
       // prefix, advancing the tail base (and its chain anchor) to the
@@ -603,6 +489,14 @@ StatusOr<MergeStats> DataStore::Merge() {
         ++tail_base_seq_;
         tail_.pop_front();
       }
+    }
+    // Only keys mutated after the cut stay pending: an avail appended
+    // while this merge ran must stay visible to referential validation.
+    pending_avails_.clear();
+    pending_rccs_.clear();
+    for (std::size_t i = static_cast<std::size_t>(cut_seq - tail_base_seq_);
+         i < tail_.size(); ++i) {
+      NotePendingLocked(tail_[i].mutation);
     }
     ++generation_;
     ++merges_;

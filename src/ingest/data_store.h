@@ -8,12 +8,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "data/tables.h"
-#include "index/logical_time_index.h"
-#include "ingest/delta_index.h"
 #include "ingest/ingest_log.h"
 #include "ingest/mutation.h"
 
@@ -29,10 +28,7 @@ struct DataStoreOptions {
   /// rccs.csv, durably). Empty means merges stay in-memory and the log is
   /// never truncated, so a restart can still rebuild the full state.
   std::string persist_dir;
-  /// Backend of the base logical-time index snapshots expose (the delta
-  /// overlay wraps it while mutations are pending).
-  IndexBackend index_backend = IndexBackend::kAvlTree;
-  /// When > 0, a background merger thread compacts the delta into the
+  /// When > 0, a background merger thread compacts the tail into the
   /// base whenever at least this many mutations are pending.
   std::size_t merge_threshold = 0;
   /// OpenDir only: when true, dir/ingest.log is attached only if it
@@ -81,12 +77,11 @@ struct ReplTail {
 };
 
 /// An immutable, epoch-stamped view of the store: the avail/RCC tables at
-/// one consistent cut plus a logical-time index over the RCCs at that cut
-/// (the base index when clean, a DeltaOverlayIndex layering pending
-/// mutations over the shared base when dirty). The epoch *is* the PR-4
-/// dataset fingerprint of the exposed tables, so every downstream cache
-/// keyed on DatasetFingerprint invalidates exactly when the data changes
-/// and stays warm when it does not.
+/// one consistent cut (the shared base when clean, base + tail
+/// materialized when dirty). The epoch *is* the dataset fingerprint of
+/// the exposed tables, so every downstream cache keyed on
+/// DatasetFingerprint invalidates exactly when the data changes and stays
+/// warm when it does not.
 ///
 /// Snapshots pin their state: merges and appends after the pin never
 /// mutate what a live snapshot sees. Deeply const and safe to share
@@ -98,11 +93,8 @@ class DataSnapshot {
   /// Shared ownership for consumers that outlive the store (estimators
   /// hold this so "the dataset must outlive the estimator" is automatic).
   const std::shared_ptr<const Dataset>& shared_data() const { return data_; }
-  /// Logical-time index over the snapshot's RCCs.
-  const LogicalTimeIndex& rcc_index() const { return *index_; }
-  /// Epoch of the merged base under this snapshot (== epoch() if clean).
-  std::uint64_t base_epoch() const { return base_epoch_; }
-  /// Pending mutations overlaid on the base in this snapshot.
+  /// Pending (not yet merged) keys applied on top of the base in this
+  /// snapshot.
   std::size_t delta_depth() const { return delta_depth_; }
 
  private:
@@ -110,27 +102,25 @@ class DataSnapshot {
   DataSnapshot() = default;
 
   std::shared_ptr<const Dataset> data_;
-  std::shared_ptr<const LogicalTimeIndex> index_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t base_epoch_ = 0;
   std::size_t delta_depth_ = 0;
 };
 
 /// The single entry point through which the pipeline reads data
-/// (DESIGN.md §14). A DataStore owns an immutable base dataset + index, a
-/// DeltaIndex memtable absorbing appends, frozen delta runs awaiting
-/// compaction, and (optionally) the crash-safe IngestLog that makes every
-/// accepted append durable before it becomes visible.
+/// (DESIGN.md §14). A DataStore is an immutable base dataset plus the
+/// sequenced tail of mutations applied since it was cut, optionally
+/// backed by the crash-safe IngestLog that makes every accepted append
+/// durable before it becomes visible.
 ///
 /// Concurrency contract: Append/AppendBatch, Snapshot and Merge may all
 /// race freely. Readers pin an epoch via Snapshot() and never block on
 /// writers; the background merger (or an explicit Merge) compacts
-/// base+runs into a fresh immutable base and bumps the epoch — it never
+/// base + tail into a fresh immutable base and bumps the epoch — it never
 /// mutates state a live snapshot references.
 class DataStore {
  public:
   /// Opens a store over an in-memory base. If options.log_path names an
-  /// existing log, its records are replayed into the delta (so restart
+  /// existing log, its records are replayed into the tail (so restart
   /// reproduces the pre-crash state given the same base).
   static StatusOr<std::unique_ptr<DataStore>> Open(
       Dataset base, DataStoreOptions options = {});
@@ -149,7 +139,7 @@ class DataStore {
   /// mutations return the same cached snapshot (pinning is O(1)).
   std::shared_ptr<const DataSnapshot> Snapshot() const;
 
-  /// Validates, durably logs, then applies one mutation to the memtable.
+  /// Validates, durably logs, then appends one mutation to the tail.
   Status Append(const IngestMutation& mutation);
 
   /// Batch variant: all-or-nothing validation, one log fsync. On success
@@ -191,16 +181,11 @@ class DataStore {
   Status InstallSnapshot(const std::vector<IngestMutation>& rows,
                          std::uint64_t last_seq, std::uint64_t chain);
 
-  /// Freezes the memtable into an immutable run (no epoch change; the
-  /// background merger does this implicitly before compacting).
-  void FlushDelta();
-
-  /// Compacts base + runs + memtable into a fresh immutable base,
-  /// rebuilds the base index, bumps the epoch to the new fingerprint and
-  /// — when a persist_dir is configured — durably rewrites the base CSVs
-  /// and truncates the log. Guarded by the ingest.merge.commit fault
-  /// point: a failed merge leaves the base, the log and every pinned
-  /// snapshot intact.
+  /// Compacts base + tail into a fresh immutable base, bumps the epoch to
+  /// the new fingerprint and — when a persist_dir is configured — durably
+  /// rewrites the base CSVs and rotates the log. Guarded by the
+  /// ingest.merge.commit fault point: a failed merge leaves the base, the
+  /// log and every pinned snapshot intact.
   StatusOr<MergeStats> Merge();
 
   /// Current base epoch (cheap; no materialization).
@@ -215,7 +200,7 @@ class DataStore {
   /// separately could tear across a concurrent apply).
   void Position(std::uint64_t* seq, std::uint64_t* chain) const;
 
-  /// Mutations not yet compacted into the base (runs + memtable).
+  /// Distinct (kind, id) keys mutated since the last merge cut.
   std::size_t pending_mutations() const;
 
   IngestStats stats() const;
@@ -238,14 +223,16 @@ class DataStore {
 
   DataStore() = default;
 
-  /// True if the avail id is visible in base, runs or memtable.
+  /// True if the avail id is visible in the base or the pending tail.
   bool HasAvailLocked(std::int64_t avail_id) const;
   std::size_t PendingLocked() const;
+  /// Records one tail mutation in the pending key sets (mu_ held).
+  void NotePendingLocked(const IngestMutation& mutation);
   /// Referential validation of a batch against the current cut (mu_ held).
   Status ValidateBatchLocked(
       const std::vector<IngestMutation>& mutations) const;
-  /// Applies a validated, durably logged batch to memtable + tail (mu_
-  /// held): assigns sequences, folds the chain, bumps the generation.
+  /// Appends a validated, durably logged batch to the tail (mu_ held):
+  /// assigns sequences, folds the chain, bumps the generation.
   void AbsorbBatchLocked(const std::vector<IngestMutation>& mutations);
   void MergerLoop();
 
@@ -253,14 +240,15 @@ class DataStore {
   std::unique_ptr<IngestLog> log_;
 
   mutable std::mutex mu_;
-  mutable std::mutex append_mu_;  ///< orders log writes with memtable
+  mutable std::mutex append_mu_;  ///< orders log writes with tail
                                   ///< applies (stats reads log size).
   std::mutex merge_mu_;   ///< serializes merges (and snapshot installs).
   std::shared_ptr<const Dataset> base_;
-  std::shared_ptr<const LogicalTimeIndex> base_index_;
   std::uint64_t base_epoch_ = 0;
-  std::vector<std::shared_ptr<const DeltaRun>> runs_;
-  DeltaIndex memtable_;
+  /// Ids upserted since the last merge cut, per kind: what HasAvailLocked
+  /// consults beyond the base and what the pending count counts.
+  std::unordered_set<std::int64_t> pending_avails_;
+  std::unordered_set<std::int64_t> pending_rccs_;
   /// Append-order mirror of the log's record range (tail_base_seq_,
   /// last_seq_]: what Materialize applies (sequence order makes the merged
   /// row order independent of when merges happen — the replication

@@ -23,16 +23,11 @@ enum class MutationKind {
 
 /// One replayable mutation record: exactly one of `avail`/`rcc` is
 /// meaningful, selected by `kind`. Plain value type — records travel
-/// through the log, the memtable and the frozen runs by copy.
+/// through the log and the store's sequenced tail by copy.
 struct IngestMutation {
   MutationKind kind = MutationKind::kRccUpsert;
   Avail avail;
   Rcc rcc;
-
-  /// The id the memtable keys on (within its kind).
-  std::int64_t key_id() const {
-    return kind == MutationKind::kAvailUpsert ? avail.id : rcc.id;
-  }
 };
 
 IngestMutation MakeAvailUpsert(Avail avail);

@@ -163,8 +163,8 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     // Staleness probe: the live bundle embeds the data epoch it was
     // trained from; the store's snapshot epoch says what the data looks
     // like now. Unequal epochs mean a retrain would pick up new data.
-    // Worker, not inline: Snapshot() on a dirty store materializes the
-    // full overlay — O(dataset) — and under active ingestion every append
+    // Worker, not inline: Snapshot() on a dirty store materializes base
+    // + tail — O(dataset) — and under active ingestion every append
     // bumps the generation, so the per-generation cache cannot save an
     // event-loop shard from that cost.
     const auto bundle = service_->bundle();

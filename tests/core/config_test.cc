@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 namespace domd {
 namespace {
 
@@ -31,6 +35,51 @@ TEST(ConfigTest, MakeLossHonorsKindAndDelta) {
   const Loss loss = config.MakeLoss();
   EXPECT_EQ(loss.kind(), LossKind::kPseudoHuber);
   EXPECT_DOUBLE_EQ(loss.delta(), 7.5);
+}
+
+/// A saved default config with the whitespace-separated token at `index`
+/// replaced by `value` (token 0 is "pipeline_config", 1 the version, 2 the
+/// selection method, 6 the loss kind).
+std::string ConfigTextWith(std::size_t index, const std::string& value) {
+  std::stringstream saved;
+  PipelineConfig().Save(saved);
+  std::vector<std::string> tokens;
+  for (std::string token; saved >> token;) tokens.push_back(token);
+  tokens.at(index) = value;
+  std::string text;
+  for (const std::string& token : tokens) text += token + "\n";
+  return text;
+}
+
+TEST(ConfigTest, LoadRejectsQuantileAndUnknownLoss) {
+  std::stringstream valid(ConfigTextWith(6, "2"));
+  ASSERT_TRUE(PipelineConfig::Load(valid).ok());
+  for (const char* loss : {"3", "99", "-1"}) {
+    std::stringstream text(ConfigTextWith(6, loss));
+    const auto loaded = PipelineConfig::Load(text);
+    ASSERT_FALSE(loaded.ok()) << "loss = " << loss;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ConfigTest, LoadRejectsOutOfRangeEnums) {
+  // selection, model family, architecture, fusion, split method.
+  for (const std::size_t index : {2u, 4u, 5u, 9u, 18u}) {
+    std::stringstream text(ConfigTextWith(index, "99"));
+    const auto loaded = PipelineConfig::Load(text);
+    ASSERT_FALSE(loaded.ok()) << "token " << index;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ConfigTest, MakeLossCoversQuantile) {
+  PipelineConfig config;
+  config.loss = LossKind::kQuantile;
+  config.huber_delta = 0.9;
+  const Loss loss = config.MakeLoss();
+  EXPECT_EQ(loss.kind(), LossKind::kQuantile);
+  EXPECT_DOUBLE_EQ(loss.tau(), 0.9);
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(ConfigTest, ToStringMentionsKeyChoices) {

@@ -147,6 +147,20 @@ TEST_F(DomdEstimatorTest, TrainRejectsEmptyOrUnknownIds) {
   EXPECT_FALSE(DomdEstimator::Train(data_, FastConfig(), {424242}).ok());
 }
 
+TEST_F(DomdEstimatorTest, TrainRejectsUnsupportedConfig) {
+  PipelineConfig quantile = FastConfig();
+  quantile.loss = LossKind::kQuantile;
+  const auto bad_loss = DomdEstimator::Train(data_, quantile, split_->train);
+  ASSERT_FALSE(bad_loss.ok());
+  EXPECT_EQ(bad_loss.status().code(), StatusCode::kInvalidArgument);
+
+  PipelineConfig fusion = FastConfig();
+  fusion.fusion = static_cast<FusionMethod>(42);
+  const auto bad_fusion = DomdEstimator::Train(data_, fusion, split_->train);
+  ASSERT_FALSE(bad_fusion.ok());
+  EXPECT_EQ(bad_fusion.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(DomdEstimatorTest, PredictionsAreUsefulOnTestSet) {
   ASSERT_TRUE(estimator_->ok());
   double mae = 0.0, baseline = 0.0;

@@ -80,7 +80,7 @@ TEST(AvlTreeIndexTest, MemoryRoughlyHalfOfNaiveJoin) {
   }
   AvlTreeIndex avl;
   avl.Build(entries);
-  auto naive = MakeLogicalTimeIndex(IndexBackend::kNaiveJoin).value();
+  auto naive = MakeLogicalTimeIndex(IndexBackend::kNaiveJoin);
   naive->Build(entries);
   const double ratio = static_cast<double>(naive->MemoryUsageBytes()) /
                        static_cast<double>(avl.MemoryUsageBytes());

@@ -27,7 +27,7 @@ class IndexFuzzTest
 TEST_P(IndexFuzzTest, InterleavedMutationsMatchOracle) {
   const auto [backend, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 13);
-  auto index = MakeLogicalTimeIndex(backend).value();
+  auto index = MakeLogicalTimeIndex(backend);
   index->Build({});
 
   std::map<std::int64_t, IndexEntry> live;
@@ -100,7 +100,7 @@ TEST_P(ConcurrentReadFuzzTest, EightReadersMatchSingleThreadedAnswers) {
                                     : entry.start + rng.Uniform(0, 50);
     entries.push_back(entry);
   }
-  auto index = MakeLogicalTimeIndex(GetParam()).value();
+  auto index = MakeLogicalTimeIndex(GetParam());
   index->Build(entries);
 
   // Single-threaded reference answers for a fixed probe grid.

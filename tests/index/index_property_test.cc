@@ -65,7 +65,7 @@ std::set<std::int64_t> AsSet(const std::vector<std::int64_t>& ids) {
 class IndexPropertyTest : public ::testing::TestWithParam<IndexBackend> {
  protected:
   std::unique_ptr<LogicalTimeIndex> MakeIndex() const {
-    return MakeLogicalTimeIndex(GetParam()).value();
+    return MakeLogicalTimeIndex(GetParam());
   }
 };
 

@@ -47,7 +47,7 @@ TEST(NaiveJoinIndexTest, FactoryProducesCorrectTypes) {
   for (IndexBackend backend :
        {IndexBackend::kIntervalTree, IndexBackend::kAvlTree,
         IndexBackend::kNaiveJoin}) {
-    auto index = MakeLogicalTimeIndex(backend).value();
+    auto index = MakeLogicalTimeIndex(backend);
     ASSERT_NE(index, nullptr);
     EXPECT_EQ(index->backend(), backend);
   }

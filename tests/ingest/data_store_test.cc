@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,17 +176,127 @@ TEST(DataStoreTest, MergePreservesEpochAndContent) {
   EXPECT_EQ(merged->old_epoch, base->epoch());
 
   const auto clean = (*store)->Snapshot();
-  // The merge changed representation (overlay -> base), not content, so
-  // the epoch must not move: same rows => same fingerprint => same epoch.
+  // The merge changed representation (base + tail -> base), not content,
+  // so the epoch must not move: same rows => same fingerprint => same
+  // epoch.
   EXPECT_EQ(clean->epoch(), dirty->epoch());
   EXPECT_EQ(merged->new_epoch, dirty->epoch());
   EXPECT_EQ(clean->delta_depth(), 0u);
-  EXPECT_EQ(clean->base_epoch(), clean->epoch());
+  EXPECT_EQ((*store)->epoch(), clean->epoch());
   EXPECT_EQ((*store)->pending_mutations(), 0u);
   EXPECT_EQ(clean->data().rccs.size(), dirty->data().rccs.size());
 
   // The pinned pre-merge snapshots still read their own cuts.
   EXPECT_EQ(base->data().rccs.size() + 1, clean->data().rccs.size());
+}
+
+TEST(DataStoreTest, DirtySnapshotCarriesPendingInserts) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const auto base = (*store)->Snapshot();
+  std::int64_t next_id = MaxRccId(base->data()) + 1;
+
+  // Inserts: a new open RCC and a new settled one.
+  Rcc open = NewRcc(next_id++, 3);
+  open.settled_date = std::nullopt;
+  open.settled_amount = 0.0;
+  const Rcc settled = NewRcc(next_id++, 5);
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(open)).ok());
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(settled)).ok());
+
+  const auto snapshot = (*store)->Snapshot();
+  ASSERT_EQ(snapshot->delta_depth(), 2u);
+  EXPECT_EQ(snapshot->data().rccs.size(), base->data().rccs.size() + 2);
+  const auto got_open = snapshot->data().rccs.Find(open.id);
+  ASSERT_TRUE(got_open.ok());
+  EXPECT_FALSE((*got_open)->settled_date.has_value());
+  const auto got_settled = snapshot->data().rccs.Find(settled.id);
+  ASSERT_TRUE(got_settled.ok());
+  EXPECT_EQ((*got_settled)->settled_date, settled.settled_date);
+  EXPECT_EQ(snapshot->epoch(), ComputeDatasetFingerprint(snapshot->data()));
+}
+
+TEST(DataStoreTest, AmendedRccReplacesItsBaseRow) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const auto before = (*store)->Snapshot();
+
+  // Re-settle a base RCC: its interval and amount change in place.
+  Rcc amended = before->data().rccs.rows()[before->data().rccs.size() / 2];
+  const std::optional<Date> old_settled = amended.settled_date;
+  amended.settled_date = amended.creation_date + 14;
+  amended.settled_amount = 777.25;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(amended)).ok());
+
+  const auto snapshot = (*store)->Snapshot();
+  // An amend replaces, it does not add.
+  EXPECT_EQ(snapshot->data().rccs.size(), before->data().rccs.size());
+  const auto got = snapshot->data().rccs.Find(amended.id);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ((*got)->settled_date, amended.settled_date);
+  EXPECT_EQ((*got)->settled_amount, 777.25);
+  EXPECT_EQ((*before->data().rccs.Find(amended.id))->settled_date,
+            old_settled);
+  EXPECT_EQ(snapshot->epoch(), ComputeDatasetFingerprint(snapshot->data()));
+
+  // After compaction the merged base holds the same content.
+  ASSERT_TRUE((*store)->Merge().ok());
+  const auto merged = (*store)->Snapshot();
+  EXPECT_EQ(merged->delta_depth(), 0u);
+  EXPECT_EQ(merged->epoch(), snapshot->epoch());
+  EXPECT_EQ(merged->data().rccs.size(), before->data().rccs.size());
+  EXPECT_EQ((*merged->data().rccs.Find(amended.id))->settled_amount, 777.25);
+}
+
+TEST(DataStoreTest, RepeatedUpsertCountsOnePendingKey) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const std::int64_t rcc_id = MaxRccId((*store)->Snapshot()->data()) + 1;
+  Rcc rcc = NewRcc(rcc_id, 2);
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+  rcc.settled_amount = 2468.5;
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(rcc)).ok());
+  EXPECT_EQ((*store)->pending_mutations(), 1u);
+  EXPECT_EQ((*store)->stats().last_seq, 2u);
+
+  auto merged = (*store)->Merge();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->merged_mutations, 1u);
+  EXPECT_EQ((*store)->pending_mutations(), 0u);
+  const auto snapshot = (*store)->Snapshot();
+  EXPECT_EQ((*snapshot->data().rccs.Find(rcc_id))->settled_amount, 2468.5);
+}
+
+TEST(DataStoreTest, AvailAppendedDuringMergeStaysVisible) {
+  auto store = DataStore::Open(SmallFleet());
+  ASSERT_TRUE(store.ok());
+  const auto base = (*store)->Snapshot();
+  const std::int64_t avail_id = MaxAvailId(base->data()) + 1;
+  const std::int64_t rcc_id = MaxRccId(base->data()) + 1;
+  // Something to merge, so the merge reaches its commit point.
+  ASSERT_TRUE((*store)->Append(MakeRccUpsert(NewRcc(rcc_id, 1))).ok());
+
+  // Hold the merge between its cut and its commit, then append an avail
+  // inside that window: the avail is past the cut, so it must survive the
+  // commit as pending and stay visible to referential validation.
+  ScopedFaultInjection faults("ingest.merge.commit=latency-ms:300");
+  const fault::FaultPoint& commit =
+      fault::FaultRegistry::Default().GetPoint("ingest.merge.commit");
+  StatusOr<MergeStats> merged = Status::Internal("merge never ran");
+  std::thread merger([&] { merged = (*store)->Merge(); });
+  while (commit.hits() == 0) std::this_thread::yield();
+  ASSERT_TRUE((*store)->Append(MakeAvailUpsert(NewAvail(avail_id))).ok());
+  merger.join();
+
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->merged_mutations, 1u);  // the cut held only the RCC.
+  EXPECT_EQ((*store)->pending_mutations(), 1u);
+  EXPECT_TRUE(
+      (*store)->Append(MakeRccUpsert(NewRcc(rcc_id + 1, avail_id))).ok());
+  const auto snapshot = (*store)->Snapshot();
+  EXPECT_TRUE(snapshot->data().avails.Find(avail_id).ok());
+  EXPECT_TRUE(snapshot->data().rccs.Find(rcc_id + 1).ok());
+  EXPECT_EQ((*store)->pending_mutations(), 2u);
 }
 
 TEST(DataStoreTest, MergeFaultLeavesStateIntactAndRetrySucceeds) {
@@ -355,10 +466,10 @@ TEST(DataStoreConcurrencyTest, PinnedSnapshotsStableUnderWritersAndMerges) {
   threads.emplace_back([&] {
     while (!done.load()) {
       const auto snapshot = (*store)->Snapshot();
-      // Every observed cut is internally consistent: its index covers
-      // exactly its table.
-      ASSERT_EQ(snapshot->rcc_index().size(),
-                snapshot->data().rccs.size());
+      // Every observed cut is internally consistent: its epoch is the
+      // fingerprint of exactly the content it exposes.
+      ASSERT_EQ(snapshot->epoch(),
+                ComputeDatasetFingerprint(snapshot->data()));
       ASSERT_GE(snapshot->data().rccs.size(), pinned_rccs);
     }
   });

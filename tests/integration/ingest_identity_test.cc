@@ -22,9 +22,9 @@ namespace {
 /// mutation stream must be byte-for-byte the same as training from the
 /// equivalent batch dataset. The synth generator assigns avail and RCC ids
 /// sequentially in row order, so splitting the fleet at an avail boundary
-/// and streaming the suffix reproduces the batch row order after the
-/// memtable's (kind, id) sort — which is what makes the fingerprints, the
-/// serialized models and the predictions exactly comparable.
+/// and streaming the suffix reproduces the batch row order once the tail
+/// is applied in sequence order — which is what makes the fingerprints,
+/// the serialized models and the predictions exactly comparable.
 class IngestIdentityTest : public ::testing::Test {
  protected:
   static constexpr int kNumAvails = 20;
@@ -114,8 +114,8 @@ TEST_F(IngestIdentityTest, StreamedSuffixReproducesBatchEpoch) {
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   ASSERT_TRUE((*streamed)->AppendBatch(mutations_).ok());
 
-  // Identical content => identical epoch, both before compaction (delta
-  // overlay) and after (merged base).
+  // Identical content => identical epoch, both before compaction (base +
+  // tail) and after (merged base).
   const auto dirty = (*streamed)->Snapshot();
   EXPECT_EQ(dirty->epoch(), batch_epoch);
   EXPECT_EQ(dirty->delta_depth(), mutations_.size());

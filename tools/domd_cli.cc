@@ -28,7 +28,7 @@
 // wire schema. --merge 1 compacts log + base into fresh avails.csv /
 // rccs.csv afterwards (durably) and rotates the log down to any records
 // that arrived after the merge cut; without it the mutations stay pending
-// and every reader overlays them on the base.
+// and every reader applies them on top of the base.
 //
 // DATA directories hold avails.csv and rccs.csv in the library's CSV
 // schema. Model files are written by `train` (DomdEstimator::SaveModels).

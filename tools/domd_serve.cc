@@ -40,9 +40,9 @@
 //                                        snapshot under --retrain-root and
 //                                        hot-swap it (requires the flag)
 //
-// --merge-threshold N starts a background merger that compacts the delta
-// into the base once N mutations are pending (0, the default, merges only
-// by explicit DataStore::Merge).
+// --merge-threshold N starts a background merger that compacts the
+// pending tail into the base once N distinct avail/RCC keys are pending
+// (0, the default, merges only by explicit DataStore::Merge).
 //
 // --persist-dir DIR makes the store fully durable: the base CSVs live in
 // DIR (bootstrapped from the bundle's reference fleet on first start),
