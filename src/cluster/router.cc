@@ -1,6 +1,7 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "fault/fault.h"
@@ -29,7 +30,8 @@ bool IsHedgeableResponse(const std::string& line) {
 ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
     : host_map_(std::move(host_map)),
       options_(options),
-      pool_(options.upstream) {
+      pool_(options.upstream),
+      dispatcher_(options.workers, options.max_queue_depth) {
   const std::size_t num_shards = host_map_.num_shards();
   replica_states_.resize(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
@@ -60,11 +62,38 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
   cells_.shard_up.assign(num_shards, nullptr);
 #endif
 
-  const std::size_t workers = std::max<std::size_t>(1, options_.workers);
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  dispatcher_.Register("ping", VerbPolicy::kInline,
+                       [this](const VerbRequest&, Responder responder) {
+                         JsonValue out = JsonValue::Object();
+                         out.Set("ok", JsonValue::Bool(true));
+                         out.Set("role", JsonValue::String("router"));
+                         out.Set("num_shards",
+                                 JsonValue::Number(static_cast<double>(
+                                     host_map_.num_shards())));
+                         responder.Respond(out.Serialize());
+                       });
+  dispatcher_.Register("health", VerbPolicy::kInline,
+                       [this](const VerbRequest&, Responder responder) {
+                         responder.Respond(HealthJson().Serialize());
+                       });
+  dispatcher_.Register("stats", VerbPolicy::kInline,
+                       [this](const VerbRequest&, Responder responder) {
+                         responder.Respond(StatsJson().Serialize());
+                       });
+  // Everything below does blocking upstream I/O, so it runs off the
+  // reactor shards.
+  dispatcher_.Register("", VerbPolicy::kWorker,
+                       std::bind_front(&ClusterRouter::RunPredict, this));
+  dispatcher_.Register("rollout", VerbPolicy::kWorker,
+                       std::bind_front(&ClusterRouter::RunRollout, this));
+  dispatcher_.Register("ingest", VerbPolicy::kWorker,
+                       std::bind_front(&ClusterRouter::RunIngest, this));
+  dispatcher_.Register("freshness", VerbPolicy::kWorker,
+                       std::bind_front(&ClusterRouter::RunFreshness, this));
+  dispatcher_.Register(
+      "retrain", VerbPolicy::kSlowWorker,
+      std::bind_front(&ClusterRouter::RunRetrainScatter, this));
+
   if (options_.start_prober) {
     prober_ = std::thread([this] { ProberLoop(); });
   }
@@ -72,35 +101,11 @@ ClusterRouter::ClusterRouter(HostMap host_map, RouterOptions options)
 
 ClusterRouter::~ClusterRouter() {
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
-    work_available_.notify_all();
-  }
-  {
     std::lock_guard<std::mutex> lock(prober_mutex_);
     prober_stop_ = true;
     prober_cv_.notify_all();
   }
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
   if (prober_.joinable()) prober_.join();
-  pool_.CloseIdle();
-}
-
-void ClusterRouter::WorkerLoop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, fully drained.
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    RunJob(job);
-  }
 }
 
 void ClusterRouter::ProberLoop() {
@@ -115,98 +120,11 @@ void ClusterRouter::ProberLoop() {
   }
 }
 
-void ClusterRouter::Dispatch(Job job) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  if (stopping_) return;  // teardown races a late request: drop it.
-  if (queue_.size() >= options_.max_queue_depth) {
-    rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    job.responder.Respond(
-        ErrorToJson(Status::ResourceExhausted("router worker queue full"))
-            .Serialize());
-    return;
-  }
-  queue_.push_back(std::move(job));
-  work_available_.notify_one();
-}
-
-void ClusterRouter::Handle(std::string line, Responder responder) {
-  auto request = JsonValue::Parse(line);
-  if (!request.ok()) {
-    responder.Respond(ErrorToJson(request.status()).Serialize());
-    return;
-  }
-
-  const std::string cmd = request->StringOr("cmd", "");
-  if (cmd == "ping") {
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("role", JsonValue::String("router"));
-    out.Set("num_shards",
-            JsonValue::Number(static_cast<double>(host_map_.num_shards())));
-    responder.Respond(out.Serialize());
-    return;
-  }
-  if (cmd == "health") {
-    responder.Respond(HealthJson().Serialize());
-    return;
-  }
-  if (cmd == "stats") {
-    responder.Respond(StatsJson().Serialize());
-    return;
-  }
-  if (cmd == "metrics") {
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("content_type", JsonValue::String("text/plain; version=0.0.4"));
-    out.Set("payload", JsonValue::String(
-                           obs::MetricsRegistry::Default().RenderPrometheus()));
-    responder.Respond(out.Serialize());
-    return;
-  }
-  if (cmd == "shutdown") {
-    // Stops the router only; the shards it fronts keep serving.
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("shutting_down", JsonValue::Bool(true));
-    responder.RespondThenStop(out.Serialize());
-    return;
-  }
-  if (cmd == "rollout") {
-    if (request->StringOr("bundle", "").empty()) {
-      responder.Respond(
-          ErrorToJson(Status::InvalidArgument("rollout needs \"bundle\""))
-              .Serialize());
-      return;
-    }
-    Job job;
-    job.request = std::move(*request);
-    job.raw_line = std::move(line);
-    job.responder = std::move(responder);
-    Dispatch(std::move(job));
-    return;
-  }
-  if (cmd == "ingest" || cmd == "freshness" || cmd == "retrain") {
-    // Ingest-tier verbs: blocking upstream I/O (per-shard routing, full
-    // fan-out), so they hop to the worker pool like routed predictions.
-    Job job;
-    job.request = std::move(*request);
-    job.raw_line = std::move(line);
-    job.responder = std::move(responder);
-    Dispatch(std::move(job));
-    return;
-  }
-  if (!cmd.empty()) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument("unknown cmd \"" + cmd + "\""))
-            .Serialize());
-    return;
-  }
-
-  // Prediction traffic. Ownership is decided here (cheap ring lookup) but
-  // the blocking upstream I/O always happens on the worker pool.
-  const JsonValue* avail_ids = request->Find("avail_ids");
-  const JsonValue* avail_id = request->Find("avail_id");
-  const JsonValue* avail = request->Find("avail");
+void ClusterRouter::RunPredict(const VerbRequest& request,
+                               Responder responder) {
+  const JsonValue* avail_ids = request.Find("avail_ids");
+  const JsonValue* avail_id = request.Find("avail_id");
+  const JsonValue* avail = request.Find("avail");
   if (avail_ids == nullptr && avail_id == nullptr && avail == nullptr) {
     responder.Respond(
         ErrorToJson(Status::InvalidArgument(
@@ -215,72 +133,34 @@ void ClusterRouter::Handle(std::string line, Responder responder) {
             .Serialize());
     return;
   }
-  if (avail_ids != nullptr && !avail_ids->is_array()) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument("\"avail_ids\" must be an array"))
-            .Serialize());
+  if (avail_ids != nullptr) {
+    if (!avail_ids->is_array()) {
+      responder.Respond(ErrorToJson(Status::InvalidArgument(
+                                        "\"avail_ids\" must be an array"))
+                            .Serialize());
+      return;
+    }
+    RunScatter(request, std::move(responder));
     return;
   }
-  if (avail_id != nullptr && avail_ids == nullptr && !avail_id->is_number()) {
-    responder.Respond(
-        ErrorToJson(Status::InvalidArgument("\"avail_id\" must be a number"))
-            .Serialize());
+  // Detached scoring travels with its avail; the ship owns the key so a
+  // ship's traffic lands on one shard regardless of avail numbering.
+  const StatusOr<std::int64_t> id =
+      avail_id != nullptr ? avail_id->AsInteger<std::int64_t>("avail_id")
+                          : avail->Integer<std::int64_t>("ship_id", 0);
+  if (!id.ok()) {
+    responder.Respond(ErrorToJson(id.status()).Serialize());
     return;
   }
-  Job job;
-  job.request = std::move(*request);
-  job.raw_line = std::move(line);
-  job.responder = std::move(responder);
-  Dispatch(std::move(job));
-}
-
-void ClusterRouter::RunJob(Job& job) {
-  const std::string cmd = job.request.StringOr("cmd", "");
-  if (cmd == "rollout") {
-    RunRollout(job);
-    return;
-  }
-  if (cmd == "ingest") {
-    RunIngest(job);
-    return;
-  }
-  if (cmd == "freshness") {
-    RunFreshness(job);
-    return;
-  }
-  if (cmd == "retrain") {
-    RunRetrainScatter(job);
-    return;
-  }
-  if (const JsonValue* ids = job.request.Find("avail_ids");
-      ids != nullptr && ids->is_array()) {
-    RunScatter(job);
-    return;
-  }
-  std::uint64_t key = 0;
-  if (const JsonValue* avail_id = job.request.Find("avail_id");
-      avail_id != nullptr && avail_id->is_number()) {
-    key = KeyForAvail(
-        static_cast<std::int64_t>(avail_id->number_value()));
-  } else {
-    // Detached scoring travels with its avail; the ship owns the key so a
-    // ship's traffic lands on one shard regardless of avail numbering.
-    const JsonValue* avail = job.request.Find("avail");
-    const double ship_id =
-        avail != nullptr ? avail->NumberOr("ship_id", 0.0) : 0.0;
-    key = KeyForShip(static_cast<std::int64_t>(ship_id));
-  }
-  RunSingle(job, host_map_.OwnerIndexOf(key));
-}
-
-void ClusterRouter::RunSingle(Job& job, std::size_t shard_index) {
+  const std::size_t shard_index = host_map_.OwnerIndexOf(
+      avail_id != nullptr ? KeyForAvail(*id) : KeyForShip(*id));
   routed_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Counter* cell = cells_.routed_by_shard[shard_index];
       cell != nullptr && obs::Enabled()) {
     cell->Increment();
   }
   bool hedged = false;
-  auto response = RouteToShard(shard_index, job.raw_line,
+  auto response = RouteToShard(shard_index, request.line,
                                Clock::now() + options_.upstream_deadline,
                                &hedged);
   if (hedged) {
@@ -290,17 +170,19 @@ void ClusterRouter::RunSingle(Job& job, std::size_t shard_index) {
   if (!response.ok()) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     if (cells_.failed != nullptr && obs::Enabled()) cells_.failed->Increment();
-    job.responder.Respond(ErrorToJson(response.status()).Serialize());
+    responder.Respond(ErrorToJson(response.status()).Serialize());
     return;
   }
   // Verbatim forwarding: a routed answer is bit-identical to asking the
   // owning shard directly (the bit-identity contract, DESIGN.md §12).
-  job.responder.Respond(std::move(*response));
+  responder.Respond(std::move(*response));
 }
 
-void ClusterRouter::RunScatter(Job& job) {
+
+void ClusterRouter::RunScatter(const VerbRequest& request,
+                               Responder responder) {
   scattered_.fetch_add(1, std::memory_order_relaxed);
-  const JsonValue& ids = *job.request.Find("avail_ids");
+  const JsonValue& ids = *request.Find("avail_ids");
   const std::size_t n = ids.items().size();
   const Clock::time_point deadline =
       Clock::now() + options_.upstream_deadline;
@@ -309,25 +191,26 @@ void ClusterRouter::RunScatter(Job& job) {
   // answers exactly as it would a direct single-avail request.
   std::vector<std::string> sublines(n);
   std::vector<std::string> results(n);
+  std::vector<std::size_t> owners(n);
   std::vector<bool> done(n, false);
   std::size_t errors = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const JsonValue& id = ids.items()[i];
-    if (!id.is_number()) {
-      results[i] = ErrorToJson(Status::InvalidArgument(
-                                   "avail_ids[" + std::to_string(i) +
-                                   "] must be a number"))
-                       .Serialize();
+    const auto avail_id = id.AsInteger<std::int64_t>(
+        "avail_ids[" + std::to_string(i) + "]");
+    if (!avail_id.ok()) {
+      results[i] = ErrorToJson(avail_id.status()).Serialize();
       done[i] = true;
       ++errors;
       continue;
     }
+    owners[i] = host_map_.OwnerIndexOf(KeyForAvail(*avail_id));
     JsonValue sub = JsonValue::Object();
     sub.Set("avail_id", id);
-    if (const JsonValue* t = job.request.Find("t_star"); t != nullptr) {
+    if (const JsonValue* t = request.Find("t_star"); t != nullptr) {
       sub.Set("t_star", *t);
     }
-    if (const JsonValue* k = job.request.Find("top_k"); k != nullptr) {
+    if (const JsonValue* k = request.Find("top_k"); k != nullptr) {
       sub.Set("top_k", *k);
     }
     sublines[i] = sub.Serialize();
@@ -337,10 +220,7 @@ void ClusterRouter::RunScatter(Job& job) {
   // within each group.
   std::vector<std::vector<std::size_t>> by_shard(host_map_.num_shards());
   for (std::size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
-    by_shard[host_map_.OwnerIndexOf(KeyForAvail(
-                 static_cast<std::int64_t>(ids.items()[i].number_value())))]
-        .push_back(i);
+    if (!done[i]) by_shard[owners[i]].push_back(i);
   }
   std::size_t fanout = 0;
   for (const auto& group : by_shard) fanout += group.empty() ? 0 : 1;
@@ -406,10 +286,8 @@ void ClusterRouter::RunScatter(Job& job) {
   // failures above marked the primary down).
   for (std::size_t i = 0; i < n; ++i) {
     if (done[i]) continue;
-    const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(
-        static_cast<std::int64_t>(ids.items()[i].number_value())));
     bool hedged = false;
-    auto line = RouteToShard(s, sublines[i], deadline, &hedged);
+    auto line = RouteToShard(owners[i], sublines[i], deadline, &hedged);
     any_hedged = any_hedged || hedged;
     if (line.ok()) {
       results[i] = std::move(*line);
@@ -441,17 +319,18 @@ void ClusterRouter::RunScatter(Job& job) {
   out += ", \"hedged\": ";
   out += any_hedged ? "true" : "false";
   out += ", \"errors\": " + std::to_string(errors) + "}";
-  job.responder.Respond(std::move(out));
+  responder.Respond(std::move(out));
 }
 
-void ClusterRouter::RunIngest(Job& job) {
+void ClusterRouter::RunIngest(const VerbRequest& request,
+                              Responder responder) {
   const Clock::time_point deadline =
       Clock::now() + options_.upstream_deadline;
-  const JsonValue* avails = job.request.Find("avails");
-  const JsonValue* rccs = job.request.Find("rccs");
+  const JsonValue* avails = request.Find("avails");
+  const JsonValue* rccs = request.Find("rccs");
   if ((avails != nullptr && !avails->is_array()) ||
       (rccs != nullptr && !rccs->is_array())) {
-    job.responder.Respond(
+    responder.Respond(
         ErrorToJson(
             Status::InvalidArgument("\"avails\"/\"rccs\" must be arrays"))
             .Serialize());
@@ -469,28 +348,30 @@ void ClusterRouter::RunIngest(Job& job) {
     shard_avails.push_back(JsonValue::Array());
     shard_rccs.push_back(JsonValue::Array());
   }
-  if (avails != nullptr) {
-    for (const JsonValue& row : avails->items()) {
-      const std::size_t s = host_map_.OwnerIndexOf(
-          KeyForAvail(static_cast<std::int64_t>(row.NumberOr("id", 0.0))));
-      shard_avails[s].Append(row);
+  const auto split_rows = [&](const JsonValue* rows, const char* key,
+                              std::vector<JsonValue>* by_shard) -> Status {
+    if (rows == nullptr) return Status();
+    for (const JsonValue& row : rows->items()) {
+      const auto id = row.Integer<std::int64_t>(key, 0);
+      if (!id.ok()) return id.status();
+      const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(*id));
+      (*by_shard)[s].Append(row);
       touched[s] = true;
     }
-  }
-  if (rccs != nullptr) {
-    for (const JsonValue& row : rccs->items()) {
-      const std::size_t s = host_map_.OwnerIndexOf(KeyForAvail(
-          static_cast<std::int64_t>(row.NumberOr("avail_id", 0.0))));
-      shard_rccs[s].Append(row);
-      touched[s] = true;
-    }
+    return Status();
+  };
+  Status split = split_rows(avails, "id", &shard_avails);
+  if (split.ok()) split = split_rows(rccs, "avail_id", &shard_rccs);
+  if (!split.ok()) {
+    responder.Respond(ErrorToJson(split).Serialize());
+    return;
   }
   std::size_t fanout = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (touched[s]) ++fanout;
   }
   if (fanout == 0) {
-    job.responder.Respond(
+    responder.Respond(
         ErrorToJson(Status::InvalidArgument(
                         "ingest needs \"avails\" and/or \"rccs\" rows"))
             .Serialize());
@@ -555,7 +436,7 @@ void ClusterRouter::RunIngest(Job& job) {
   // verbatim (the bit-identity contract); failures and multi-shard
   // batches aggregate per-shard results.
   if (fanout == 1 && all_ok) {
-    job.responder.Respond(std::move(sole_response));
+    responder.Respond(std::move(sole_response));
     return;
   }
   JsonValue out = JsonValue::Object();
@@ -564,10 +445,10 @@ void ClusterRouter::RunIngest(Job& job) {
   out.Set("shards", JsonValue::Number(static_cast<double>(fanout)));
   out.Set("hedged", JsonValue::Bool(any_hedged));
   out.Set("results", std::move(results));
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
-void ClusterRouter::RunFreshness(Job& job) {
+void ClusterRouter::RunFreshness(const VerbRequest&, Responder responder) {
   // Cluster-wide freshness: every replica of every shard answers, and a
   // shard counts as converged when all of its replicas report one store
   // epoch — the replication bit-identity invariant, observable from the
@@ -639,10 +520,11 @@ void ClusterRouter::RunFreshness(Job& job) {
   out.Set("converged", JsonValue::Bool(all_converged));
   out.Set("stale", JsonValue::Bool(any_stale));
   out.Set("shards", std::move(shards));
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
-void ClusterRouter::RunRetrainScatter(Job& job) {
+void ClusterRouter::RunRetrainScatter(const VerbRequest& request,
+                                      Responder responder) {
   // Every replica holds the replicated data, so every replica retrains
   // itself onto the same cut; a converged cluster derives the same
   // default version (the snapshot epoch), keeping the fleet uniform.
@@ -652,7 +534,7 @@ void ClusterRouter::RunRetrainScatter(Job& job) {
     const ShardSpec& spec = host_map_.shards()[s];
     for (const Endpoint& endpoint : spec.replicas) {
       auto response = pool_.Rpc(
-          endpoint, job.raw_line,
+          endpoint, request.line,
           Clock::now() + options_.rollout_rpc_deadline);
       JsonValue entry = JsonValue::Object();
       entry.Set("shard", JsonValue::Number(static_cast<double>(spec.id)));
@@ -683,7 +565,7 @@ void ClusterRouter::RunRetrainScatter(Job& job) {
   out.Set("ok", JsonValue::Bool(all_ok));
   out.Set("role", JsonValue::String("router"));
   out.Set("retrained", std::move(results));
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
 std::vector<std::size_t> ClusterRouter::PreferenceOrder(
@@ -857,10 +739,18 @@ void ClusterRouter::ProbeOnce() {
   PublishShardGauges();
 }
 
-void ClusterRouter::RunRollout(Job& job) {
+void ClusterRouter::RunRollout(const VerbRequest& request,
+                               Responder responder) {
+  const std::string bundle = request.StringOr("bundle", "");
+  if (bundle.empty()) {
+    responder.Respond(
+        ErrorToJson(Status::InvalidArgument("rollout needs \"bundle\""))
+            .Serialize());
+    return;
+  }
   std::unique_lock<std::mutex> rollout_lock(rollout_mutex_, std::try_to_lock);
   if (!rollout_lock.owns_lock()) {
-    job.responder.Respond(
+    responder.Respond(
         ErrorToJson(
             Status::FailedPrecondition("a rollout is already in progress"))
             .Serialize());
@@ -870,7 +760,6 @@ void ClusterRouter::RunRollout(Job& job) {
   if (cells_.rollouts != nullptr && obs::Enabled()) {
     cells_.rollouts->Increment();
   }
-  const std::string bundle = job.request.StringOr("bundle", "");
 
   JsonValue flipped = JsonValue::Array();
   // Halts the rollout and reports exactly where it stopped. Every shard is
@@ -892,7 +781,7 @@ void ClusterRouter::RunRollout(Job& job) {
     out.Set("code", JsonValue::String(StatusCodeToString(error.code())));
     out.Set("error", JsonValue::String(error.message()));
     out.Set("flipped_shards", flipped);
-    job.responder.Respond(out.Serialize());
+    responder.Respond(out.Serialize());
   };
   const auto rpc = [&](const Endpoint& endpoint,
                        const std::string& line) -> StatusOr<JsonValue> {
@@ -1016,7 +905,7 @@ void ClusterRouter::RunRollout(Job& job) {
   out.Set("ok", JsonValue::Bool(true));
   out.Set("bundle_version", JsonValue::String(staged_version));
   out.Set("flipped_shards", flipped);
-  job.responder.Respond(out.Serialize());
+  responder.Respond(out.Serialize());
 }
 
 RouterStatsSnapshot ClusterRouter::stats() const {
@@ -1026,8 +915,7 @@ RouterStatsSnapshot ClusterRouter::stats() const {
   snapshot.ingest_routed = ingest_routed_.load(std::memory_order_relaxed);
   snapshot.hedged = hedged_.load(std::memory_order_relaxed);
   snapshot.failed = failed_.load(std::memory_order_relaxed);
-  snapshot.rejected_overload =
-      rejected_overload_.load(std::memory_order_relaxed);
+  snapshot.rejected_overload = dispatcher_.rejected();
   snapshot.probes = probes_.load(std::memory_order_relaxed);
   snapshot.rollouts = rollouts_.load(std::memory_order_relaxed);
   snapshot.rollout_failures =

@@ -5,16 +5,16 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/host_map.h"
 #include "cluster/upstream.h"
 #include "obs/metrics.h"
+#include "serve/dispatcher.h"
 #include "serve/json.h"
 #include "serve/reactor.h"
 
@@ -23,10 +23,10 @@ namespace cluster {
 
 /// Tuning knobs of the routing tier.
 struct RouterOptions {
-  /// Worker threads doing blocking upstream I/O (the reactor's event-loop
-  /// shards never block; every routed verb hops onto this pool).
+  /// kWorker threads for blocking upstream I/O: every routed verb but
+  /// `retrain` runs here, never on a reactor event-loop shard.
   std::size_t workers = 4;
-  /// Pending routed requests beyond this are rejected with
+  /// Pending jobs per worker queue beyond this are rejected with
   /// RESOURCE_EXHAUSTED — the same explicit backpressure contract as the
   /// PredictionService admission queue.
   std::size_t max_queue_depth = 512;
@@ -86,17 +86,21 @@ struct RouterStatsSnapshot {
 /// verbatim — a routed request that succeeds is bit-identical to asking
 /// that shard directly.
 ///
-/// Verbs:
+/// Verbs, dispatched by the VerbDispatcher that ServeFrontend uses too.
+/// Inline on the reactor shard:
+///   {"cmd": "ping"}             liveness.
+///   {"cmd": "health"}           per-shard routing state.
+///   {"cmd": "stats"}            router counters.
+///   {"cmd": "metrics"}          Prometheus exposition.
+///   {"cmd": "shutdown"}         stop the router (never the shards).
+/// On the kWorker pool (RouterOptions::workers threads, at most
+/// max_queue_depth queued jobs):
 ///   {"avail_id": N, ...}        forwarded to the owning shard.
 ///   {"avail": {...}, ...}       detached scoring, owner keyed by ship_id.
 ///   {"avail_ids": [...], ...}   scatter-gather: per-id subrequests fan
 ///                               out to the owning shards over pipelined
 ///                               upstream connections and merge back in
 ///                               request order.
-///   {"cmd": "health"}           per-shard routing state.
-///   {"cmd": "stats"}            router counters.
-///   {"cmd": "metrics"}          Prometheus exposition.
-///   {"cmd": "ping"}             liveness.
 ///   {"cmd": "rollout", "bundle": DIR}  coordinated rollout (stage every
 ///                               shard, verify, flip shard-by-shard,
 ///                               halt-and-report on first failure).
@@ -109,11 +113,11 @@ struct RouterStatsSnapshot {
 ///   {"cmd": "freshness"}        cluster-wide freshness: every replica of
 ///                               every shard answers, with per-shard
 ///                               convergence (all replicas at one epoch).
+/// On the slow-worker thread, so it never occupies a routed-predict worker:
 ///   {"cmd": "retrain", ...}     fanned out to every replica of every
 ///                               shard (each holds the replicated data),
 ///                               so the whole cluster retrains onto the
 ///                               same ingested state.
-///   {"cmd": "shutdown"}         stop the router (never the shards).
 ///
 /// Hedging: each routed request walks the shard's replica preference
 /// order (primary first, replicas the prober marked down or breaker-open
@@ -135,7 +139,9 @@ class ClusterRouter {
   /// Routes one client request line; always answers via `responder`,
   /// exactly once. Control verbs answer inline on the reactor shard;
   /// routed verbs hop to the worker pool.
-  void Handle(std::string line, Responder responder);
+  void Handle(std::string line, Responder responder) {
+    dispatcher_.Handle(std::move(line), std::move(responder));
+  }
 
   /// One synchronous probe round over every replica of every shard
   /// (the background prober calls this; tests call it directly).
@@ -147,12 +153,6 @@ class ClusterRouter {
   std::vector<ReplicaState> replica_states(std::size_t shard_index) const;
 
  private:
-  struct Job {
-    JsonValue request;
-    std::string raw_line;
-    Responder responder;
-  };
-
   /// Obs cells (null when compiled out), registered once per router.
   struct MetricCells {
     std::vector<obs::Counter*> routed_by_shard;  ///< {shard="<id>"}.
@@ -165,18 +165,14 @@ class ClusterRouter {
     obs::Counter* rollout_failures = nullptr;
   };
 
-  void WorkerLoop();
   void ProberLoop();
-  void Dispatch(Job job);  ///< enqueue or reject with backpressure.
 
-  /// Executes one routed job on a worker thread.
-  void RunJob(Job& job);
-  void RunSingle(Job& job, std::size_t shard_index);
-  void RunScatter(Job& job);
-  void RunRollout(Job& job);
-  void RunIngest(Job& job);
-  void RunFreshness(Job& job);
-  void RunRetrainScatter(Job& job);
+  void RunPredict(const VerbRequest& request, Responder responder);
+  void RunScatter(const VerbRequest& request, Responder responder);
+  void RunRollout(const VerbRequest& request, Responder responder);
+  void RunIngest(const VerbRequest& request, Responder responder);
+  void RunFreshness(const VerbRequest& request, Responder responder);
+  void RunRetrainScatter(const VerbRequest& request, Responder responder);
 
   /// Sends `line` to shard `shard_index` with hedged retries across its
   /// replica preference order. Success returns the replica's verbatim
@@ -218,16 +214,10 @@ class ClusterRouter {
   mutable std::mutex state_mutex_;  ///< guards replica_states_.
   std::vector<std::vector<ReplicaState>> replica_states_;  ///< [shard][rep].
 
-  std::mutex queue_mutex_;
-  std::condition_variable work_available_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-
   std::mutex rollout_mutex_;  ///< one rollout at a time.
 
-  /// The prober waits on its own cv: the worker queue uses notify_one, and
-  /// a shared cv could hand a job wakeup to the sleeping prober instead of
-  /// a worker.
+  /// The prober sleeps on this cv between rounds so the destructor can
+  /// wake and stop it mid-interval.
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
   bool prober_stop_ = false;
@@ -237,13 +227,12 @@ class ClusterRouter {
   std::atomic<std::uint64_t> ingest_routed_{0};
   std::atomic<std::uint64_t> hedged_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> rejected_overload_{0};
   std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> rollouts_{0};
   std::atomic<std::uint64_t> rollout_failures_{0};
 
-  std::vector<std::thread> workers_;
-  std::thread prober_;  ///< joined in the destructor after workers.
+  VerbDispatcher dispatcher_;  ///< after what it touches: drained first.
+  std::thread prober_;  ///< joined in the destructor.
 };
 
 }  // namespace cluster

@@ -132,7 +132,7 @@ int Date::day() const {
 std::string Date::ToString() const {
   int y, m, d;
   CivilFromDays(serial_, &y, &m, &d);
-  char buf[16];
+  char buf[40];  // room for three full-width ints: never truncates.
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

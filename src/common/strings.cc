@@ -75,6 +75,21 @@ StatusOr<double> ParseDouble(std::string_view text) {
   return value;
 }
 
+StatusOr<std::int64_t> ParseInt(std::string_view text) {
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("integer out of int64 range: \"" +
+                                   std::string(text) + "\"");
+  }
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return Status::InvalidArgument("not an integer: \"" + std::string(text) +
+                                   "\"");
+  }
+  return value;
+}
+
 std::string StrToLower(std::string_view text) {
   std::string out(text);
   for (char& c : out) {

@@ -1,6 +1,7 @@
 #ifndef DOMD_COMMON_STRINGS_H_
 #define DOMD_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,12 @@ std::string StrToLower(std::string_view text);
 /// overflow. Accepts decimal and exponent forms, optional leading sign,
 /// and "inf"/"nan" (case-insensitive); locale-independent.
 StatusOr<double> ParseDouble(std::string_view text);
+
+/// Parses `text` as a base-10 int64 with std::from_chars, checked like
+/// ParseDouble: empty input, partial parses ("12ms", " 1", "1.5", "+1")
+/// and values outside int64 range are InvalidArgument — unlike atoi,
+/// which turns "abc" into 0.
+StatusOr<std::int64_t> ParseInt(std::string_view text);
 
 }  // namespace domd
 

@@ -6,10 +6,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/compiler.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "serve/wire.h"
@@ -48,49 +51,35 @@ ServeFrontend::ServeFrontend(PredictionService* service,
     : service_(service),
       options_(std::move(options)),
       stage_root_(options_.stage_root.empty() ? DefaultStageRoot()
-                                              : options_.stage_root) {
-  RegisterBuiltinVerbs();
-  worker_ = std::thread(
-      [this] { WorkerLoop(&worker_queue_, &worker_available_); });
-  slow_worker_ =
-      std::thread([this] { WorkerLoop(&slow_queue_, &slow_available_); });
+                                              : options_.stage_root),
+      dispatcher_(/*workers=*/1,
+                  /*max_queue_depth=*/std::numeric_limits<std::size_t>::max()) {
+  RegisterVerbs();
 }
 
-ServeFrontend::~ServeFrontend() {
-  {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    stopping_ = true;
-    worker_available_.notify_all();
-    slow_available_.notify_all();
-  }
-  if (worker_.joinable()) worker_.join();
-  if (slow_worker_.joinable()) slow_worker_.join();
-}
-
-void ServeFrontend::RegisterVerb(const std::string& name, VerbPolicy policy,
-                                 VerbHandler handler) {
-  verbs_[name] = Verb{policy, std::move(handler)};
-}
-
-void ServeFrontend::RegisterBuiltinVerbs() {
-  RegisterVerb("ping", VerbPolicy::kInline,
-               [this](const JsonValue&, Responder responder) {
-                 JsonValue out = JsonValue::Object();
-                 out.Set("ok", JsonValue::Bool(true));
-                 out.Set("bundle_version",
-                         JsonValue::String(service_->bundle()->version()));
-                 responder.Respond(out.Serialize());
-               });
-  RegisterVerb("stats", VerbPolicy::kInline,
-               [this](const JsonValue&, Responder responder) {
-                 JsonValue out = StatsToJson(service_->stats());
-                 if (options_.store != nullptr && options_.repl != nullptr) {
-                   out.Set("repl", options_.repl->StatsJson());
-                 }
-                 responder.Respond(out.Serialize());
-               });
-  RegisterVerb("health", VerbPolicy::kInline, [this](const JsonValue&,
-                                                     Responder responder) {
+void ServeFrontend::RegisterVerbs() {
+  dispatcher_.Register("", VerbPolicy::kInline,
+                       std::bind_front(&ServeFrontend::RunScore, this));
+  dispatcher_.Register("ping", VerbPolicy::kInline,
+                       [this](const VerbRequest&, Responder responder) {
+                         JsonValue out = JsonValue::Object();
+                         out.Set("ok", JsonValue::Bool(true));
+                         out.Set("bundle_version",
+                                 JsonValue::String(
+                                     service_->bundle()->version()));
+                         responder.Respond(out.Serialize());
+                       });
+  dispatcher_.Register(
+      "stats", VerbPolicy::kInline,
+      [this](const VerbRequest&, Responder responder) {
+        JsonValue out = StatsToJson(service_->stats());
+        if (options_.store != nullptr && options_.repl != nullptr) {
+          out.Set("repl", options_.repl->StatsJson());
+        }
+        responder.Respond(out.Serialize());
+      });
+  dispatcher_.Register("health", VerbPolicy::kInline,
+                       [this](const VerbRequest&, Responder responder) {
     // Readiness probe: "ready" means the service is admitting work (the
     // breaker is not shedding). The identity fields let orchestration
     // confirm which bundle answers before routing traffic.
@@ -122,44 +111,19 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     }
     responder.Respond(out.Serialize());
   });
-  RegisterVerb("metrics", VerbPolicy::kInline, [](const JsonValue&,
-                                                  Responder responder) {
-    // Prometheus text exposition 0.0.4. The multi-line payload is safe on
-    // the NDJSON wire because Serialize() escapes every newline.
-    JsonValue out = JsonValue::Object();
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("content_type", JsonValue::String("text/plain; version=0.0.4"));
-    out.Set("payload",
-            JsonValue::String(
-                obs::MetricsRegistry::Default().RenderPrometheus()));
-    responder.Respond(out.Serialize());
-  });
-  RegisterVerb("swap", VerbPolicy::kWorker,
-               [this](const JsonValue& request, Responder responder) {
-                 RunSwap(request, std::move(responder));
-               });
-  RegisterVerb("stage", VerbPolicy::kWorker,
-               [this](const JsonValue& request, Responder responder) {
-                 RunStage(request, std::move(responder));
-               });
-  RegisterVerb("shutdown", VerbPolicy::kInline,
-               [](const JsonValue&, Responder responder) {
-                 JsonValue out = JsonValue::Object();
-                 out.Set("ok", JsonValue::Bool(true));
-                 out.Set("shutting_down", JsonValue::Bool(true));
-                 responder.RespondThenStop(out.Serialize());
-               });
+  dispatcher_.Register("swap", VerbPolicy::kWorker,
+                       std::bind_front(&ServeFrontend::RunSwap, this));
+  dispatcher_.Register("stage", VerbPolicy::kWorker,
+                       std::bind_front(&ServeFrontend::RunStage, this));
 
   if (options_.store == nullptr) return;
 
   // Streaming-ingestion verbs (DESIGN.md §14), registered only when the
   // server owns a DataStore.
-  RegisterVerb("ingest", VerbPolicy::kWorker,
-               [this](const JsonValue& request, Responder responder) {
-                 RunIngest(request, std::move(responder));
-               });
-  RegisterVerb("freshness", VerbPolicy::kWorker, [this](const JsonValue&,
-                                                        Responder responder) {
+  dispatcher_.Register("ingest", VerbPolicy::kWorker,
+                       std::bind_front(&ServeFrontend::RunIngest, this));
+  dispatcher_.Register("freshness", VerbPolicy::kWorker,
+                       [this](const VerbRequest&, Responder responder) {
     // Staleness probe: the live bundle embeds the data epoch it was
     // trained from; the store's snapshot epoch says what the data looks
     // like now. Unequal epochs mean a retrain would pick up new data.
@@ -187,41 +151,25 @@ void ServeFrontend::RegisterBuiltinVerbs() {
     // Peer-to-peer replication verbs (DESIGN.md §15). kWorker, not
     // kInline: a sequenced apply fsyncs the local log and an out-of-range
     // catch-up request materializes a snapshot.
-    RegisterVerb("replicate", VerbPolicy::kWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   responder.Respond(
-                       options_.repl->HandleReplicate(request).Serialize());
-                 });
-    RegisterVerb("catchup", VerbPolicy::kWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   responder.Respond(
-                       options_.repl->HandleCatchup(request).Serialize());
-                 });
+    dispatcher_.Register(
+        "replicate", VerbPolicy::kWorker,
+        [this](const VerbRequest& request, Responder responder) {
+          responder.Respond(
+              options_.repl->HandleReplicate(request).Serialize());
+        });
+    dispatcher_.Register(
+        "catchup", VerbPolicy::kWorker,
+        [this](const VerbRequest& request, Responder responder) {
+          responder.Respond(
+              options_.repl->HandleCatchup(request).Serialize());
+        });
   }
   if (!options_.retrain_root.empty()) {
     // A full training run can take minutes; kSlowWorker keeps it off the
     // worker thread so queued ingest acks and stage/swap flips never wait
     // behind it.
-    RegisterVerb("retrain", VerbPolicy::kSlowWorker,
-                 [this](const JsonValue& request, Responder responder) {
-                   RunRetrain(request, std::move(responder));
-                 });
-  }
-}
-
-void ServeFrontend::WorkerLoop(std::deque<WorkerJob>* queue,
-                               std::condition_variable* available) {
-  for (;;) {
-    WorkerJob job;
-    {
-      std::unique_lock<std::mutex> lock(worker_mutex_);
-      available->wait(lock,
-                      [&] { return stopping_ || !queue->empty(); });
-      if (queue->empty()) return;  // stopping, fully drained.
-      job = std::move(queue->front());
-      queue->pop_front();
-    }
-    job.handler(job.request, std::move(job.responder));
+    dispatcher_.Register("retrain", VerbPolicy::kSlowWorker,
+                         std::bind_front(&ServeFrontend::RunRetrain, this));
   }
 }
 
@@ -249,7 +197,7 @@ void ServeFrontend::RunSwap(const JsonValue& request, Responder responder) {
   // disk: the staged bundle was fully loaded and validated at stage time.
   std::shared_ptr<const ModelBundle> staged;
   {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
+    std::lock_guard<std::mutex> lock(staged_mutex_);
     const auto it = staged_.find(dir);
     if (it != staged_.end()) staged = it->second;
   }
@@ -317,7 +265,7 @@ void ServeFrontend::RunStage(const JsonValue& request, Responder responder) {
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
+    std::lock_guard<std::mutex> lock(staged_mutex_);
     staged_[dest] = *bundle;
   }
   JsonValue out = JsonValue::Object();
@@ -397,8 +345,10 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
   // value ("../../dir") would write and load a bundle outside it, so only
   // a single plain path component is accepted — checked before training,
   // not after.
+  DOMD_GCC_IGNORE_BEGIN("-Wrestrict")
   const std::string version =
       request.StringOr("version", "e" + HexEpoch(snapshot->epoch()));
+  DOMD_GCC_IGNORE_END
   if (version.empty() || version == "." || version == ".." ||
       version.find('/') != std::string::npos ||
       version.find('\\') != std::string::npos) {
@@ -463,48 +413,22 @@ void ServeFrontend::RunRetrain(const JsonValue& request, Responder responder) {
   responder.Respond(out.Serialize());
 }
 
-void ServeFrontend::Handle(std::string line, Responder responder) {
-  const Clock::time_point start = Clock::now();
-
-  auto request = JsonValue::Parse(line);
-  if (!request.ok()) {
-    responder.Respond(ErrorToJson(request.status()).Serialize());
-    return;
-  }
-
-  const std::string cmd = request->StringOr("cmd", "");
-  if (!cmd.empty()) {
-    const auto it = verbs_.find(cmd);
-    if (it == verbs_.end()) {
-      responder.Respond(
-          ErrorToJson(Status::InvalidArgument("unknown cmd \"" + cmd + "\""))
-              .Serialize());
-      return;
-    }
-    if (it->second.policy == VerbPolicy::kInline) {
-      it->second.handler(*request, std::move(responder));
-      return;
-    }
-    WorkerJob job;
-    job.handler = it->second.handler;
-    job.request = std::move(*request);
-    job.responder = std::move(responder);
-    const bool slow = it->second.policy == VerbPolicy::kSlowWorker;
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    if (stopping_) return;  // teardown races a late job: drop it.
-    (slow ? slow_queue_ : worker_queue_).push_back(std::move(job));
-    (slow ? slow_available_ : worker_available_).notify_one();
-    return;
-  }
-
+void ServeFrontend::RunScore(const VerbRequest& request,
+                             Responder responder) {
+  const Clock::time_point start = request.received;
   // Reference-fleet scoring: cheap lock-free read against the current
   // bundle, answered inline on the shard (no queueing).
-  if (const JsonValue* avail_id = request->Find("avail_id");
+  if (const JsonValue* avail_id = request.Find("avail_id");
       avail_id != nullptr && avail_id->is_number()) {
+    const auto id = avail_id->AsInteger<std::int64_t>("avail_id");
+    const auto top_k = request.Integer<std::size_t>("top_k", 5);
+    if (!id.ok() || !top_k.ok()) {
+      responder.Respond(
+          ErrorToJson(id.ok() ? top_k.status() : id.status()).Serialize());
+      return;
+    }
     const auto result = service_->bundle()->ScoreReferenceAvail(
-        static_cast<std::int64_t>(avail_id->number_value()),
-        request->NumberOr("t_star", 100.0),
-        static_cast<std::size_t>(request->NumberOr("top_k", 5)));
+        *id, request.NumberOr("t_star", 100.0), *top_k);
     if (!result.ok()) {
       responder.Respond(ErrorToJson(result.status()).Serialize());
       return;
@@ -518,13 +442,13 @@ void ServeFrontend::Handle(std::string line, Responder responder) {
   // Detached scoring through the admission queue + micro-batcher. The
   // completion fires on the batcher thread (or inline for an immediate
   // rejection) and posts the response back to the owning shard.
-  auto score = ParseScoreRequest(*request);
+  auto score = ParseScoreRequest(request);
   if (!score.ok()) {
     responder.Respond(ErrorToJson(score.status()).Serialize());
     return;
   }
   std::optional<PredictionService::Clock::time_point> deadline;
-  if (const auto ms = RequestDeadlineMs(*request); ms.has_value()) {
+  if (const auto ms = RequestDeadlineMs(request); ms.has_value()) {
     deadline = start + std::chrono::microseconds(
                            static_cast<std::int64_t>(*ms * 1000.0));
   }

@@ -71,6 +71,15 @@ std::string JsonValue::StringOr(const std::string& key,
   return (v != nullptr && v->is_string()) ? v->string_value() : fallback;
 }
 
+Status JsonValue::NotAnInteger(std::string_view what, double min,
+                               double max) const {
+  return Status::InvalidArgument(
+      std::string(what) + " must be an integer in [" +
+      std::to_string(static_cast<std::int64_t>(min)) + ", " +
+      std::to_string(static_cast<std::int64_t>(max)) + "], got " +
+      Serialize());
+}
+
 bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;

@@ -1,11 +1,15 @@
 #ifndef DOMD_SERVE_JSON_H_
 #define DOMD_SERVE_JSON_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -59,6 +63,32 @@ class JsonValue {
                        const std::string& fallback) const;
   bool BoolOr(const std::string& key, bool fallback) const;
 
+  /// This value as an integer of type T: kInvalidArgument, naming `what`,
+  /// unless it is an integral number in T's range and within 2^53 - 1 in
+  /// magnitude (beyond that, distinct integers alias as doubles).
+  template <typename T>
+  StatusOr<T> AsInteger(std::string_view what) const {
+    static_assert(std::is_integral_v<T>);
+    // Checked on the double, before any cast: casting an out-of-range
+    // double is undefined behaviour.
+    constexpr double kMaxSafe = 9007199254740991.0;
+    const double min =
+        std::max(-kMaxSafe, static_cast<double>(std::numeric_limits<T>::min()));
+    const double max =
+        std::min(kMaxSafe, static_cast<double>(std::numeric_limits<T>::max()));
+    if (!is_number() || number_ != std::trunc(number_) || number_ < min ||
+        number_ > max) {
+      return NotAnInteger(what, min, max);
+    }
+    return static_cast<T>(number_);
+  }
+  /// Member `key` checked by AsInteger<T>; `fallback` when absent.
+  template <typename T>
+  StatusOr<T> Integer(const std::string& key, T fallback) const {
+    const JsonValue* v = Find(key);
+    return v == nullptr ? StatusOr<T>(fallback) : v->AsInteger<T>(key);
+  }
+
   /// Serializes on one line (no trailing newline). Doubles that hold exact
   /// integers print without a decimal point; others use max round-trip
   /// precision, so a serialize/parse cycle is bit-exact.
@@ -68,6 +98,8 @@ class JsonValue {
   static StatusOr<JsonValue> Parse(std::string_view text);
 
  private:
+  Status NotAnInteger(std::string_view what, double min, double max) const;
+
   Kind kind_;
   bool bool_ = false;
   double number_ = 0.0;

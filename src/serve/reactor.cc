@@ -569,7 +569,7 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
     }
     if (conn.want_write) {
       epoll_event ev{};
-      ev.events = conn.read_closed ? 0 : EPOLLIN;
+      ev.events = conn.read_closed ? 0u : std::uint32_t{EPOLLIN};
       ev.data.u64 = conn.id;
       ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
       conn.want_write = false;
@@ -592,7 +592,7 @@ bool FlushConnection(ShardContext& ctx, Connection& conn) {
   }
   if (!conn.want_write) {
     epoll_event ev{};
-    ev.events = (conn.read_closed ? 0 : EPOLLIN) | EPOLLOUT;
+    ev.events = (conn.read_closed ? 0u : std::uint32_t{EPOLLIN}) | EPOLLOUT;
     ev.data.u64 = conn.id;
     ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
     conn.want_write = true;
@@ -698,7 +698,7 @@ void HandleReadable(ShardContext& ctx, std::uint64_t conn_id) {
       // flush; once every slot is answered and written, we close too.
       conn.read_closed = true;
       epoll_event ev{};
-      ev.events = conn.want_write ? EPOLLOUT : 0;
+      ev.events = conn.want_write ? std::uint32_t{EPOLLOUT} : 0u;
       ev.data.u64 = conn.id;
       ::epoll_ctl(ctx.shard->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
       break;

@@ -59,6 +59,25 @@ TEST(StringsTest, ToLower) {
   EXPECT_EQ(StrToLower("MiXeD123"), "mixed123");
 }
 
+TEST(ParseIntTest, ParsesWholeInt64Range) {
+  EXPECT_EQ(*ParseInt("0"), 0);
+  EXPECT_EQ(*ParseInt("-17"), -17);
+  EXPECT_EQ(*ParseInt("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(*ParseInt("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(ParseIntTest, RejectsWhatAtoiWouldTurnIntoANumber) {
+  // atoi maps each of these to 0 or a prefix without complaint.
+  for (const char* text : {"", "abc", "12ms", " 1", "1 ", "1.5", "1e3", "+",
+                           "-", "+1", "+-1", "0x10"}) {
+    EXPECT_FALSE(ParseInt(text).ok()) << '"' << text << '"';
+  }
+  EXPECT_FALSE(ParseInt("9223372036854775808").ok());
+  EXPECT_FALSE(ParseInt("-9223372036854775809").ok());
+}
+
 TEST(ParseDoubleTest, ParsesPlainAndExponentForms) {
   EXPECT_DOUBLE_EQ(*ParseDouble("0"), 0.0);
   EXPECT_DOUBLE_EQ(*ParseDouble("-12.5"), -12.5);

@@ -40,10 +40,14 @@ class IngestIdentityTest : public ::testing::Test {
     // Base = the avail-id prefix and its RCCs, copied row by row from the
     // in-memory dataset (never through CSV, which rounds to %.6g).
     for (const Avail& avail : full_.avails.rows()) {
-      if (avail.id <= kBaseAvails) ASSERT_TRUE(base_.avails.Add(avail).ok());
+      if (avail.id <= kBaseAvails) {
+        ASSERT_TRUE(base_.avails.Add(avail).ok());
+      }
     }
     for (const Rcc& rcc : full_.rccs.rows()) {
-      if (rcc.avail_id <= kBaseAvails) ASSERT_TRUE(base_.rccs.Add(rcc).ok());
+      if (rcc.avail_id <= kBaseAvails) {
+        ASSERT_TRUE(base_.rccs.Add(rcc).ok());
+      }
     }
     ASSERT_LT(base_.avails.size(), full_.avails.size());
     ASSERT_LT(base_.rccs.size(), full_.rccs.size());

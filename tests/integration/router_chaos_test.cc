@@ -355,6 +355,49 @@ TEST(RouterChaosTest, OverloadShedsWithResourceExhausted) {
   EXPECT_GE(cluster->router->stats().rejected_overload, 1u);
 }
 
+TEST(RouterChaosTest, UncheckableIntegerIdsAnswerInvalidArgument) {
+  auto cluster = InProcCluster::Start(1, 1, GetServeFixture().v1,
+                                      FastRouterOptions());
+  ASSERT_NE(cluster, nullptr);
+  const std::string id = std::to_string(cluster->AvailOwnedBy(0));
+  // Each value would reach undefined behaviour or alias another id under
+  // a plain cast from the wire's double.
+  for (const std::string& request :
+       {std::string("{\"avail_id\": 1e300}"),
+        std::string("{\"avail_id\": 7.5}"),
+        std::string("{\"avail_id\": 9007199254740993}"),
+        "{\"avail_id\": " + id + ", \"top_k\": -1}"}) {
+    const std::string direct = Rpc(cluster->shards[0][0]->port, request);
+    const std::string routed = Rpc(cluster->router_port, request);
+    auto parsed = JsonValue::Parse(direct);
+    ASSERT_TRUE(parsed.ok()) << direct;
+    EXPECT_EQ(parsed->StringOr("code", ""), "INVALID_ARGUMENT") << request;
+    EXPECT_EQ(routed, direct) << request;
+  }
+}
+
+TEST(RouterChaosTest, UncheckableIdInAvailIdsGetsAPerSlotError) {
+  auto cluster = InProcCluster::Start(2, 1, GetServeFixture().v1,
+                                      FastRouterOptions());
+  ASSERT_NE(cluster, nullptr);
+  const std::int64_t id = cluster->AvailOwnedBy(1);
+  auto response = JsonValue::Parse(
+      Rpc(cluster->router_port, "{\"avail_ids\": [" + std::to_string(id) +
+                                    ", 1e300, 7.5, -9007199254740993]}"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response->BoolOr("ok", true));
+  EXPECT_EQ(response->NumberOr("errors", 0), 3.0);
+  const JsonValue* results = response->Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->items().size(), 4u);
+  EXPECT_EQ(results->items()[0].NumberOr("avail_id", -1),
+            static_cast<double>(id));
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(results->items()[i].StringOr("code", ""), "INVALID_ARGUMENT")
+        << "slot " << i;
+  }
+}
+
 TEST(ClusterRolloutTest, FlipsEveryShardToTheNewBundle) {
   auto cluster = InProcCluster::Start(3, 1, GetServeFixture().v1,
                                       FastRouterOptions());

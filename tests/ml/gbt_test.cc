@@ -177,7 +177,9 @@ TEST(GbtTest, ImportancesConcentrateOnInformativeFeature) {
   ASSERT_TRUE(model.Fit(x, y).ok());
   const auto importances = model.FeatureImportances();
   for (std::size_t c = 0; c < 4; ++c) {
-    if (c != 2) EXPECT_LT(importances[c], importances[2] * 0.05);
+    if (c != 2) {
+      EXPECT_LT(importances[c], importances[2] * 0.05);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/compiler.h"
 #include "common/rng.h"
 
 namespace domd {
@@ -114,7 +115,9 @@ TEST(DriftMonitorTest, RetrainFractionPolicy) {
   std::vector<std::vector<double>> ref_cols, live_cols;
   std::vector<std::string> names;
   for (int c = 0; c < 20; ++c) {
+    DOMD_GCC_IGNORE_BEGIN("-Wrestrict")
     names.push_back("f" + std::to_string(c));
+    DOMD_GCC_IGNORE_END
     ref_cols.push_back(Sample(&rng, 400, 0, 1));
     // Only one column shifts: 1/20 = 5% < default 10% threshold.
     live_cols.push_back(Sample(&rng, 400, c == 0 ? 10.0 : 0.0, 1));

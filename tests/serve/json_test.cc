@@ -96,6 +96,35 @@ TEST(JsonTest, TypedAccessorsFallBackOnMissingOrMistyped) {
   EXPECT_EQ(doc->Find("missing"), nullptr);
 }
 
+TEST(JsonTest, IntegerAccessorAcceptsExactInRangeIntegers) {
+  auto doc = JsonValue::Parse(
+      "{\"id\": 7, \"neg\": -3, \"big\": 9007199254740991}");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(*doc->Integer<std::int64_t>("id", 0), 7);
+  EXPECT_EQ(*doc->Integer<std::int64_t>("neg", 0), -3);
+  EXPECT_EQ(*doc->Integer<std::int64_t>("big", 0), 9007199254740991);
+  EXPECT_EQ(*doc->Integer<std::size_t>("absent", 5), 5u);
+}
+
+TEST(JsonTest, IntegerAccessorRejectsWhatACastWouldMangle) {
+  // Each value here is undefined behaviour or a silent change of value
+  // under a plain static_cast from the double.
+  for (const char* value : {"1e300", "-1e300", "7.5", "9007199254740993",
+                            "9007199254740992", "\"7\"", "null", "[1]"}) {
+    auto doc = JsonValue::Parse(std::string("{\"id\": ") + value + "}");
+    ASSERT_TRUE(doc.ok()) << value;
+    const auto id = doc->Integer<std::int64_t>("id", 0);
+    ASSERT_FALSE(id.ok()) << value;
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(id.status().message().rfind("id must be an integer", 0), 0u);
+  }
+  auto doc = JsonValue::Parse("{\"top_k\": -1, \"small\": 300}");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_FALSE(doc->Integer<std::size_t>("top_k", 5).ok());
+  EXPECT_FALSE(doc->Integer<std::uint8_t>("small", 0).ok());
+  EXPECT_FALSE(doc->Find("top_k")->AsInteger<std::size_t>("top_k").ok());
+}
+
 TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(JsonValue::Parse("").ok());
   EXPECT_FALSE(JsonValue::Parse("{").ok());

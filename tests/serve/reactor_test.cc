@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/compiler.h"
 #include "serve/reactor_test_client.h"
 #include "serve/wire.h"
 
@@ -109,7 +110,9 @@ TEST(ReactorTest, PipelinedRequestsAnsweredInRequestOrder) {
   ASSERT_TRUE(client.connected());
   std::string burst;
   for (int i = 0; i < kRequests; ++i) {
+    DOMD_GCC_IGNORE_BEGIN("-Wrestrict")
     burst += "q" + std::to_string(i) + "\n";
+    DOMD_GCC_IGNORE_END
   }
   ASSERT_TRUE(client.Send(burst));
   for (int i = 0; i < kRequests; ++i) {
@@ -332,11 +335,13 @@ TEST(ReactorTest, AcceptsAreShedAtMaxConnections) {
 TEST(ReactorTest, RespondThenStopDrainsTheResponseFirst) {
   auto reactor = MustCreate(
       ReactorOptions{}, [](std::string line, Responder responder) {
+        DOMD_GCC_IGNORE_BEGIN("-Wmaybe-uninitialized")
         if (line == "shutdown") {
           responder.RespondThenStop("bye");
         } else {
           responder.Respond("echo:" + line);
         }
+        DOMD_GCC_IGNORE_END
       });
   TestClient client = TestClient::Connect(reactor->port());
   ASSERT_TRUE(client.connected());

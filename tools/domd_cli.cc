@@ -67,17 +67,15 @@
 // Builds with -DDOMD_DISABLE_FAULTS refuse the flag.
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
 #include <fstream>
 
 #include "cache/view_cache.h"
+#include "common/flags.h"
 #include "core/domd_estimator.h"
-#include "fault/fault.h"
 #include "ingest/data_store.h"
 #include "core/pipeline_optimizer.h"
 #include "data/logical_time.h"
@@ -94,55 +92,9 @@
 namespace domd {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      flags[key.substr(2)] = argv[++i];
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// Arms fault injection from --fault-spec or $DOMD_FAULT_SPEC before the
-/// subcommand runs. Returns 0 on success (or nothing to arm), 2 on a
-/// malformed spec or when fault support was compiled out.
-int ArmFaults(const Flags& flags) {
-  std::string spec = FlagOr(flags, "fault-spec", "");
-  if (spec.empty()) {
-    if (const char* env = std::getenv("DOMD_FAULT_SPEC")) spec = env;
-  }
-  if (spec.empty()) return 0;
-#if DOMD_FAULT_COMPILED
-  const Status status = fault::FaultRegistry::Default().ApplySpec(spec);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: --fault-spec: %s\n",
-                 status.ToString().c_str());
-    return 2;
-  }
-  fault::SetEnabled(true);
-  std::fprintf(stderr, "domd: fault injection armed: %s\n", spec.c_str());
-  return 0;
-#else
-  std::fprintf(stderr,
-               "error: --fault-spec given but fault injection was compiled "
-               "out (-DDOMD_DISABLE_FAULTS)\n");
-  return 2;
-#endif
 }
 
 /// Writes the default metric registry as JSON. Surfaces every counter,
@@ -163,9 +115,7 @@ int DumpMetricsJson(const std::string& path) {
 
 // --threads N; N = 0 (the default) resolves to hardware_concurrency.
 Parallelism ThreadsFlag(const Flags& flags) {
-  Parallelism parallelism;
-  parallelism.num_threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
-  return parallelism;
+  return Parallelism{IntFlag<int>(flags, "threads", 0, 0)};
 }
 
 // --gbt-layout row|columnar and --quantized-hist 0|1; runtime GBT
@@ -181,15 +131,13 @@ Status ApplyGbtLayoutFlags(const Flags& flags, PipelineConfig* config) {
                                    "\"columnar\", got \"" + layout + "\"");
   }
   config->gbt.tree.quantized =
-      std::atoi(FlagOr(flags, "quantized-hist", "0").c_str()) != 0;
+      IntFlag<int>(flags, "quantized-hist", 0, 0, 1) != 0;
   return Status::OK();
 }
 
 // --cache-bytes B; byte budget of the modeling-view cache (0 disables).
 std::size_t CacheBytesFlag(const Flags& flags) {
-  const auto it = flags.find("cache-bytes");
-  if (it == flags.end()) return kDefaultViewCacheBytes;
-  return static_cast<std::size_t>(std::atoll(it->second.c_str()));
+  return IntFlag<std::size_t>(flags, "cache-bytes", kDefaultViewCacheBytes);
 }
 
 /// Every subcommand reads --dir through a DataStore snapshot (DESIGN.md
@@ -238,12 +186,10 @@ StatusOr<StoreHandle> OpenStore(const Flags& flags, bool for_ingest = false) {
 
 int CmdGenerate(const Flags& flags) {
   SynthConfig config;
-  config.num_avails = std::atoi(FlagOr(flags, "avails", "200").c_str());
-  config.mean_rccs_per_avail =
-      std::atof(FlagOr(flags, "rccs-per-avail", "240").c_str());
-  config.ongoing_fraction = std::atof(FlagOr(flags, "ongoing", "0.05").c_str());
-  config.seed =
-      static_cast<std::uint64_t>(std::atoll(FlagOr(flags, "seed", "42").c_str()));
+  config.num_avails = IntFlag<int>(flags, "avails", 200, 0);
+  config.mean_rccs_per_avail = DoubleFlag(flags, "rccs-per-avail", 240);
+  config.ongoing_fraction = DoubleFlag(flags, "ongoing", 0.05);
+  config.seed = IntFlag<std::uint64_t>(flags, "seed", 42);
   const std::string dir = FlagOr(flags, "dir", ".");
 
   const Dataset data = GenerateDataset(config);
@@ -266,8 +212,7 @@ int CmdObfuscate(const Flags& flags) {
     return Fail(Status::InvalidArgument("--out is required"));
   }
   ObfuscationConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(FlagOr(flags, "seed", "53391").c_str()));
+  config.seed = IntFlag<std::uint64_t>(flags, "seed", 53391);
   Obfuscator obfuscator(config);
   const Dataset masked = obfuscator.Obfuscate(store->data());
   if (auto s = masked.avails.WriteFile(out_it->second + "/avails.csv");
@@ -331,12 +276,10 @@ int CmdTrain(const Flags& flags) {
   }
 
   PipelineConfig config;
-  config.window_width_pct = std::atof(FlagOr(flags, "window", "10").c_str());
-  config.num_features =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "k", "60").c_str()));
-  config.gbt.num_rounds = std::atoi(FlagOr(flags, "rounds", "150").c_str());
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(FlagOr(flags, "seed", "42").c_str()));
+  config.window_width_pct = DoubleFlag(flags, "window", 10);
+  config.num_features = IntFlag<std::size_t>(flags, "k", 60);
+  config.gbt.num_rounds = IntFlag<int>(flags, "rounds", 150, 0);
+  config.seed = IntFlag<std::uint64_t>(flags, "seed", 42);
   config.parallelism = ThreadsFlag(flags);
   config.cache_bytes = CacheBytesFlag(flags);
   if (auto s = ApplyGbtLayoutFlags(flags, &config); !s.ok()) return Fail(s);
@@ -393,11 +336,9 @@ int CmdTune(const Flags& flags) {
   const Dataset& data = store->data();
 
   PipelineConfig config;
-  config.window_width_pct = std::atof(FlagOr(flags, "window", "10").c_str());
-  config.num_features =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "k", "60").c_str()));
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(FlagOr(flags, "seed", "42").c_str()));
+  config.window_width_pct = DoubleFlag(flags, "window", 10);
+  config.num_features = IntFlag<std::size_t>(flags, "k", 60);
+  config.seed = IntFlag<std::uint64_t>(flags, "seed", 42);
   config.parallelism = ThreadsFlag(flags);
   config.cache_bytes = CacheBytesFlag(flags);
   if (auto s = ApplyGbtLayoutFlags(flags, &config); !s.ok()) return Fail(s);
@@ -432,8 +373,8 @@ int CmdTune(const Flags& flags) {
   };
 
   TunerOptions tuner_options;
-  tuner_options.num_trials = std::atoi(FlagOr(flags, "trials", "30").c_str());
-  tuner_options.patience = std::atoi(FlagOr(flags, "patience", "0").c_str());
+  tuner_options.num_trials = IntFlag<int>(flags, "trials", 30, 0);
+  tuner_options.patience = IntFlag<int>(flags, "patience", 0, 0);
   tuner_options.seed = config.seed + 1;
   Tuner tuner(&space, TpeOptions{});
   const TuningResult result = tuner.Run(objective, tuner_options);
@@ -496,10 +437,9 @@ int CmdQuery(const Flags& flags) {
                                              CacheBytesFlag(flags));
   if (!estimator.ok()) return Fail(estimator.status());
 
-  const std::int64_t avail_id = std::atoll(avail_it->second.c_str());
-  const double t_star = std::atof(FlagOr(flags, "t", "100").c_str());
-  const auto top_k =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "top", "5").c_str()));
+  const auto avail_id = IntFlag<std::int64_t>(flags, "avail", 0);
+  const double t_star = DoubleFlag(flags, "t", 100);
+  const auto top_k = IntFlag<std::size_t>(flags, "top", 5);
   const auto result =
       estimator->QueryAtLogicalTime(avail_id, t_star, top_k);
   if (!result.ok()) return Fail(result.status());
@@ -590,10 +530,9 @@ int CmdPredict(const Flags& flags) {
   if (avail_it == flags.end()) {
     return Fail(Status::InvalidArgument("--avail or --request is required"));
   }
-  const std::int64_t avail_id = std::atoll(avail_it->second.c_str());
-  const double t_star = std::atof(FlagOr(flags, "t", "100").c_str());
-  const auto top_k =
-      static_cast<std::size_t>(std::atoi(FlagOr(flags, "top", "5").c_str()));
+  const auto avail_id = IntFlag<std::int64_t>(flags, "avail", 0);
+  const double t_star = DoubleFlag(flags, "t", 100);
+  const auto top_k = IntFlag<std::size_t>(flags, "top", 5);
   const auto result =
       (*bundle)->ScoreReferenceAvail(avail_id, t_star, top_k);
   if (!result.ok()) return Fail(result.status());
@@ -662,7 +601,7 @@ int CmdReport(const Flags& flags) {
   if (!estimator.ok()) return Fail(estimator.status());
 
   ReportOptions options;
-  options.query_t_star = std::atof(FlagOr(flags, "t", "60").c_str());
+  options.query_t_star = DoubleFlag(flags, "t", 60);
   ReportWriter writer(options);
   const auto report = writer.FleetReport(store->data(), *estimator);
   if (!report.ok()) return Fail(report.status());
@@ -724,7 +663,7 @@ int CmdIngest(const Flags& flags) {
               static_cast<unsigned long long>(
                   store->store->Snapshot()->epoch()));
 
-  if (std::atoi(FlagOr(flags, "merge", "0").c_str()) != 0) {
+  if (IntFlag<int>(flags, "merge", 0, 0, 1) != 0) {
     auto merged = store->store->Merge();
     if (!merged.ok()) return Fail(merged.status());
     std::printf("merged %zu mutations: epoch %016llx -> %016llx%s\n",
@@ -752,7 +691,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return domd::Usage();
   const std::string command = argv[1];
   const domd::Flags flags = domd::ParseFlags(argc, argv, 2);
-  if (const int rc = domd::ArmFaults(flags); rc != 0) return rc;
+  if (const int rc = domd::ArmFaults(flags, "domd"); rc != 0) return rc;
   int exit_code = 2;
   bool dispatched = true;
   if (command == "generate") exit_code = domd::CmdGenerate(flags);

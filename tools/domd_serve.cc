@@ -84,15 +84,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/host_map.h"
-#include "fault/fault.h"
+#include "common/flags.h"
 #include "ingest/data_store.h"
 #include "serve/frontend.h"
 #include "serve/reactor.h"
@@ -102,71 +100,45 @@
 namespace domd {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      flags[key.substr(2)] = argv[++i];
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-/// Arms fault injection from --fault-spec or $DOMD_FAULT_SPEC. Returns 0
-/// on success (or nothing to arm), 2 on a malformed spec or when fault
-/// support was compiled out.
-int ArmFaults(const Flags& flags) {
-  std::string spec = FlagOr(flags, "fault-spec", "");
-  if (spec.empty()) {
-    if (const char* env = std::getenv("DOMD_FAULT_SPEC")) spec = env;
-  }
-  if (spec.empty()) return 0;
-#if DOMD_FAULT_COMPILED
-  const Status status = fault::FaultRegistry::Default().ApplySpec(spec);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: --fault-spec: %s\n",
-                 status.ToString().c_str());
-    return 2;
-  }
-  fault::SetEnabled(true);
-  std::fprintf(stderr, "domd_serve: fault injection armed: %s\n",
-               spec.c_str());
-  return 0;
-#else
-  std::fprintf(stderr,
-               "error: --fault-spec given but fault injection was compiled "
-               "out (-DDOMD_DISABLE_FAULTS)\n");
-  return 2;
-#endif
-}
-
 int Run(const Flags& flags) {
   const auto bundle_it = flags.find("bundle");
   if (bundle_it == flags.end()) {
     std::fprintf(stderr, "error: --bundle is required\n");
     return 2;
   }
-  if (const int rc = ArmFaults(flags); rc != 0) return rc;
-  Parallelism parallelism;
-  parallelism.num_threads =
-      std::atoi(FlagOr(flags, "threads", "0").c_str());
-  std::size_t cache_bytes = kDefaultViewCacheBytes;
-  if (const auto it = flags.find("cache-bytes"); it != flags.end()) {
-    cache_bytes = static_cast<std::size_t>(std::atoll(it->second.c_str()));
-  }
+  if (const int rc = ArmFaults(flags, "domd_serve"); rc != 0) return rc;
+  // Every numeric flag is read, and so checked, before any work starts.
+  const Parallelism parallelism{IntFlag<int>(flags, "threads", 0, 0)};
+  const auto cache_bytes =
+      IntFlag<std::size_t>(flags, "cache-bytes", kDefaultViewCacheBytes);
 
   RetryOptions load_retry;
-  load_retry.max_attempts =
-      std::atoi(FlagOr(flags, "load-retries", "4").c_str());
+  load_retry.max_attempts = IntFlag<int>(flags, "load-retries", 4, 1);
+  ServeOptions options;
+  options.max_queue_depth = IntFlag<std::size_t>(flags, "max-queue", 256);
+  options.max_batch_size = IntFlag<std::size_t>(flags, "max-batch", 16);
+  options.batch_linger = std::chrono::microseconds(
+      IntFlag<int>(flags, "batch-linger-us", 200, 0));
+  options.parallelism = parallelism;
+  options.breaker_failure_threshold =
+      IntFlag<std::size_t>(flags, "breaker-threshold", 5);
+  options.breaker_open_duration = std::chrono::milliseconds(
+      IntFlag<int>(flags, "breaker-open-ms", 1000, 0));
+  ReactorOptions reactor_options;
+  reactor_options.port = IntFlag<int>(flags, "port", 7433, 0, 65535);
+  reactor_options.num_shards = IntFlag<std::size_t>(flags, "loop-shards", 2);
+  reactor_options.max_connections =
+      IntFlag<std::size_t>(flags, "max-connections", 1024);
+  reactor_options.idle_timeout = std::chrono::milliseconds(
+      IntFlag<std::int64_t>(flags, "idle-timeout-ms", 60000, 0));
+  reactor_options.max_request_bytes =
+      IntFlag<std::size_t>(flags, "max-request-bytes", std::size_t{1} << 20);
+  const auto merge_threshold =
+      IntFlag<std::size_t>(flags, "merge-threshold", 0);
+  const auto repl_quorum = IntFlag<std::size_t>(flags, "repl-quorum", 1);
+  const auto repl_queue_bytes = IntFlag<std::size_t>(
+      flags, "repl-queue-bytes", std::size_t{4} << 20);
+
   auto bundle = LoadBundleWithRetry(bundle_it->second, parallelism,
                                     cache_bytes, load_retry);
   if (!bundle.ok()) {
@@ -175,18 +147,6 @@ int Run(const Flags& flags) {
     return 1;
   }
 
-  ServeOptions options;
-  options.max_queue_depth = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-queue", "256").c_str()));
-  options.max_batch_size = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-batch", "16").c_str()));
-  options.batch_linger = std::chrono::microseconds(
-      std::atoi(FlagOr(flags, "batch-linger-us", "200").c_str()));
-  options.parallelism = parallelism;
-  options.breaker_failure_threshold = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "breaker-threshold", "5").c_str()));
-  options.breaker_open_duration = std::chrono::milliseconds(
-      std::atoi(FlagOr(flags, "breaker-open-ms", "1000").c_str()));
   PredictionService service(*bundle, options);
 
   // Streaming ingestion: the store's base is the bundle's reference
@@ -198,8 +158,7 @@ int Run(const Flags& flags) {
   if (!persist_dir.empty() || log_it != flags.end()) {
     DataStoreOptions store_options;
     if (log_it != flags.end()) store_options.log_path = log_it->second;
-    store_options.merge_threshold = static_cast<std::size_t>(
-        std::atoll(FlagOr(flags, "merge-threshold", "0").c_str()));
+    store_options.merge_threshold = merge_threshold;
     StatusOr<std::unique_ptr<DataStore>> opened =
         Status::Internal("store not opened");
     if (!persist_dir.empty()) {
@@ -267,12 +226,8 @@ int Run(const Flags& flags) {
       }
       repl_options.peers.push_back(*endpoint);
     }
-    repl_options.quorum = static_cast<std::size_t>(
-        std::atoi(FlagOr(flags, "repl-quorum", "1").c_str()));
-    repl_options.queue_bytes = static_cast<std::size_t>(std::atoll(
-        FlagOr(flags, "repl-queue-bytes",
-               std::to_string(std::size_t{4} << 20))
-            .c_str()));
+    repl_options.quorum = repl_quorum;
+    repl_options.queue_bytes = repl_queue_bytes;
     repl_options.start_primary = repl_role == "primary";
     repl = std::make_unique<ReplicationManager>(store.get(), repl_options);
     std::printf("domd_serve: replication on (%zu peers, quorum %zu, %s)\n",
@@ -289,18 +244,6 @@ int Run(const Flags& flags) {
   frontend_options.repl = repl.get();
   ServeFrontend frontend(&service, frontend_options);
 
-  ReactorOptions reactor_options;
-  reactor_options.port = std::atoi(FlagOr(flags, "port", "7433").c_str());
-  reactor_options.num_shards = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "loop-shards", "2").c_str()));
-  reactor_options.max_connections = static_cast<std::size_t>(
-      std::atoi(FlagOr(flags, "max-connections", "1024").c_str()));
-  reactor_options.idle_timeout = std::chrono::milliseconds(
-      std::atoll(FlagOr(flags, "idle-timeout-ms", "60000").c_str()));
-  reactor_options.max_request_bytes = static_cast<std::size_t>(
-      std::atoll(FlagOr(flags, "max-request-bytes",
-                        std::to_string(std::size_t{1} << 20))
-                     .c_str()));
   auto reactor = Reactor::Create(
       reactor_options, [&frontend](std::string line, Responder responder) {
         frontend.Handle(std::move(line), std::move(responder));
