@@ -110,7 +110,8 @@ bool Run() {
     names.push_back(def.name);
   }
 
-  // Stage 2: GBT timeline training (parallel split search inside trees).
+  // Stage 2: GBT timeline training (step models fit in parallel; each
+  // tree grows serially).
   {
     StageResult stage;
     stage.name = "gbt_training";

@@ -37,7 +37,6 @@ std::size_t ApproxModelingViewBytes(const ModelingView& view) {
     const Matrix& slice = view.dynamic.slice(step);
     bytes += slice.rows() * slice.cols() * sizeof(double);
   }
-  if (view.columnar != nullptr) bytes += view.columnar->ApproxBytes();
   return bytes;
 }
 

@@ -37,8 +37,11 @@ StatusOr<HashRing> HashRing::Create(const std::vector<int>& shard_ids,
   if (shard_ids.empty()) {
     return Status::InvalidArgument("hash ring needs at least one shard");
   }
-  if (vnodes_per_shard == 0) {
-    return Status::InvalidArgument("vnodes_per_shard must be >= 1");
+  if (vnodes_per_shard == 0 || vnodes_per_shard > kMaxVnodesPerShard) {
+    return Status::InvalidArgument(
+        "vnodes_per_shard must be in [1, " +
+        std::to_string(kMaxVnodesPerShard) + "], got " +
+        std::to_string(vnodes_per_shard));
   }
   std::set<int> seen;
   for (const int id : shard_ids) {

@@ -25,6 +25,11 @@ inline std::uint64_t KeyForShip(std::int64_t ship_id) {
   return HashKey(static_cast<std::uint64_t>(ship_id));
 }
 
+/// Upper bound on virtual points per shard. Specs come from files and the
+/// wire, so the ring's allocation (shards x vnodes points) must stay
+/// bounded; 4096 is well above the 256 where balance stops improving.
+inline constexpr std::size_t kMaxVnodesPerShard = 4096;
+
 /// A consistent-hash ring over shard ids. Each shard contributes
 /// `vnodes_per_shard` virtual points (hash of "shard/<id>/<v>"), keys map
 /// to the first point clockwise from their hash, and adding or removing a
@@ -42,7 +47,7 @@ class HashRing {
   HashRing() = default;
 
   /// `shard_ids` must be non-empty and duplicate-free; `vnodes_per_shard`
-  /// must be >= 1.
+  /// must be in [1, kMaxVnodesPerShard].
   static StatusOr<HashRing> Create(const std::vector<int>& shard_ids,
                                    std::size_t vnodes_per_shard = 64);
 

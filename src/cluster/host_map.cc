@@ -73,10 +73,8 @@ StatusOr<HostMap> HostMap::Parse(const std::string& json_text) {
   if (!doc->is_object()) {
     return Status::InvalidArgument("cluster spec must be a JSON object");
   }
-  const double vnodes_raw = doc->NumberOr("vnodes", 64);
-  if (vnodes_raw < 1) {
-    return Status::InvalidArgument("cluster spec vnodes must be >= 1");
-  }
+  const auto vnodes = doc->Integer<std::size_t>("vnodes", 64);
+  if (!vnodes.ok()) return vnodes.status();
   const JsonValue* shards_member = doc->Find("shards");
   if (shards_member == nullptr || !shards_member->is_array()) {
     return Status::InvalidArgument(
@@ -89,10 +87,12 @@ StatusOr<HostMap> HostMap::Parse(const std::string& json_text) {
     }
     ShardSpec shard;
     const JsonValue* id = entry.Find("id");
-    if (id == nullptr || !id->is_number()) {
-      return Status::InvalidArgument("each shard needs a numeric \"id\"");
+    if (id == nullptr) {
+      return Status::InvalidArgument("each shard needs an integer \"id\"");
     }
-    shard.id = static_cast<int>(id->number_value());
+    const auto shard_id = id->AsInteger<int>("shard id");
+    if (!shard_id.ok()) return shard_id.status();
+    shard.id = *shard_id;
     const JsonValue* replicas = entry.Find("replicas");
     if (replicas == nullptr || !replicas->is_array()) {
       return Status::InvalidArgument(
@@ -110,8 +110,7 @@ StatusOr<HostMap> HostMap::Parse(const std::string& json_text) {
     }
     shards.push_back(std::move(shard));
   }
-  return Create(std::move(shards),
-                static_cast<std::size_t>(vnodes_raw));
+  return Create(std::move(shards), *vnodes);
 }
 
 StatusOr<HostMap> HostMap::LoadFile(const std::string& path) {

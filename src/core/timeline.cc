@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/parallel.h"
 #include "features/static_features.h"
 #include "ml/metrics.h"
 
@@ -62,8 +63,6 @@ ModelingView BuildModelingView(const Dataset& data,
     const auto delay = (*avail)->delay();
     if (delay.has_value()) view.labels[i] = static_cast<double>(*delay);
   }
-  view.columnar = ColumnarView::Build(view.static_x, view.dynamic,
-                                      kDefaultFrameBins, parallelism);
   return view;
 }
 
@@ -72,9 +71,7 @@ std::unique_ptr<Regressor> TimelineModelSet::MakeModel(
   if (config.model_family == ModelFamily::kElasticNet) {
     return std::make_unique<ElasticNetRegression>(config.elastic_net);
   }
-  GbtParams gbt = config.gbt;
-  gbt.tree.num_threads = config.parallelism.EffectiveThreads();
-  return std::make_unique<GbtRegressor>(gbt, config.MakeLoss());
+  return std::make_unique<GbtRegressor>(config.gbt, config.MakeLoss());
 }
 
 Status TimelineModelSet::Fit(
@@ -101,13 +98,13 @@ Status TimelineModelSet::Fit(
     base_train_pred = base_model_->PredictBatch(train.static_x);
   }
 
+  // Task 2: per-step top-k selection over dynamic features only. Cheap,
+  // so it stays serial and in step order: a selector drawing from a shared
+  // stream would still pick the same columns at every thread count.
   auto selector = CreateSelector(config.selection, config.seed);
-
   for (std::size_t step = 0; step < steps; ++step) {
-    const Matrix& slice = train.dynamic.slice(step);
-    // Task 2: per-step top-k selection over dynamic features only.
-    std::vector<std::size_t> cols =
-        selector->SelectTopK(slice, train.labels, config.num_features);
+    std::vector<std::size_t> cols = selector->SelectTopK(
+        train.dynamic.slice(step), train.labels, config.num_features);
 
     // Input column names, in the exact order the model sees its features.
     std::vector<std::string> names;
@@ -118,50 +115,26 @@ Status TimelineModelSet::Fit(
       names = static_names;
       for (std::size_t c : cols) names.push_back(dynamic_feature_names[c]);
     }
-
-    auto model = MakeModel(config);
-    auto* gbt = dynamic_cast<GbtRegressor*>(model.get());
-    if (gbt != nullptr && train.columnar != nullptr &&
-        gbt->params().tree.layout == TreeLayout::kColumnar) {
-      // Zero-copy columnar fit: borrow the shared view's prepared columns,
-      // in exactly the order HConcat would lay the row-major input out.
-      TrainingFrame frame;
-      frame.set_rows(train.avail_ids.size());
-      if (config.architecture == Architecture::kStacked) {
-        for (std::size_t c : cols) {
-          frame.AddColumn(train.columnar->dynamic_column(step, c));
-        }
-        frame.AddOwnedColumn(base_train_pred);
-      } else {
-        for (std::size_t c = 0; c < train.columnar->static_cols(); ++c) {
-          frame.AddColumn(train.columnar->static_column(c));
-        }
-        for (std::size_t c : cols) {
-          frame.AddColumn(train.columnar->dynamic_column(step, c));
-        }
-      }
-      DOMD_RETURN_IF_ERROR(gbt->FitWithFrame(frame, train.labels));
-    } else {
-      // Row-major fallback: hand-assembled views without a columnar
-      // companion, the kRowMajor reference layout, and elastic net.
-      const Matrix dynamic_selected = slice.SelectColumns(cols);
-      Matrix input;
-      if (config.architecture == Architecture::kStacked) {
-        Matrix base_col(train.avail_ids.size(), 1);
-        for (std::size_t r = 0; r < base_train_pred.size(); ++r) {
-          base_col.at(r, 0) = base_train_pred[r];
-        }
-        input = Matrix::HConcat(dynamic_selected, base_col);
-      } else {
-        input = Matrix::HConcat(train.static_x, dynamic_selected);
-      }
-      DOMD_RETURN_IF_ERROR(model->Fit(input, train.labels));
-    }
-    models_.push_back(std::move(model));
     selected_.push_back(std::move(cols));
     input_names_.push_back(std::move(names));
   }
-  return Status::OK();
+
+  // The step models are independent given the selections: fit them in
+  // parallel, each writing only its own slot (trees grow serially), so the
+  // set is bit-identical to the serial loop at every thread count.
+  models_.resize(steps);
+  const auto fit_steps = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t step = lo; step < hi; ++step) {
+      models_[step] = MakeModel(config);
+      DOMD_RETURN_IF_ERROR(models_[step]->Fit(
+          BuildInputMatrix(train, step, base_train_pred), train.labels));
+    }
+    return Status::OK();
+  };
+  const Status status = ParallelFor(config.parallelism.EffectiveThreads(),
+                                    steps, 1, fit_steps);
+  if (!status.ok()) models_.clear();  // never expose unfitted slots
+  return status;
 }
 
 std::vector<double> TimelineModelSet::BuildInputRow(const ModelingView& view,

@@ -24,10 +24,9 @@ struct ModelingView {
   Matrix static_x;        ///< avails x |static features|.
   FeatureTensor dynamic;  ///< avails x |catalog| per grid step.
   std::vector<double> labels;
-  /// Columnar restructuring of static_x + dynamic (sorted per-feature
-  /// columns and u8/u16 bin codes), built once per view and shared by the
-  /// snapshot cache. Null on hand-assembled views; GBT training falls back
-  /// to columnarizing its own input matrix in that case.
+  /// Always null on views built in src/: no src/ path reads it (a GBT fit
+  /// columnarizes only its own input matrix). Kept only for
+  /// perfbench's replay, which still times building a ColumnarView.
   std::shared_ptr<const ColumnarView> columnar;
 
   std::size_t num_steps() const { return dynamic.num_steps(); }
@@ -51,7 +50,10 @@ class TimelineModelSet {
 
   /// Fits per-step models per the config: per-step feature selection over
   /// dynamic features (statics always included), model family, loss, and
-  /// architecture. `train` must carry labels.
+  /// architecture. `train` must carry labels. Selection runs serially in
+  /// step order; the step models then fit in parallel on
+  /// `config.parallelism` workers, each on the BuildInputMatrix layout —
+  /// bit-identical at every thread count.
   Status Fit(const PipelineConfig& config, const ModelingView& train,
              const std::vector<std::string>& dynamic_feature_names);
 

@@ -54,8 +54,6 @@ StatusOr<CvResult> CrossValidate(const Dataset& data,
     view.static_x = full.static_x.SelectRows(rows);
     auto dynamic = full.dynamic.SelectAvails(view.avail_ids);
     view.dynamic = std::move(*dynamic);
-    // Serial columnarization: folds already run under the fold-level pool.
-    view.columnar = ColumnarView::Build(view.static_x, view.dynamic);
     return view;
   };
 

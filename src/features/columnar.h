@@ -15,7 +15,8 @@ namespace domd {
 /// One matrix (the statics, or one grid step of the dynamic tensor)
 /// restructured column-major with the per-column sort orders, quantizer
 /// cuts, and bin codes a columnar GBT fit consumes. All per-column arrays
-/// are packed into contiguous pools indexed by column.
+/// are packed into contiguous pools indexed by column. Read by no src/
+/// path: only ColumnarView builds it.
 struct ColumnarBlock {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -37,10 +38,11 @@ struct ColumnarBlock {
 ColumnarBlock BuildColumnarBlock(const Matrix& x, std::size_t max_bins,
                                  const Parallelism& parallelism = {});
 
-/// The columnar companion of a ModelingView: every dynamic grid step and
-/// the static features, restructured once per view. Snapshot-cached views
-/// (PR 4) share this across HPT trials, CV reps, and bundle loads, so the
-/// sort + quantization cost is paid once per dataset fingerprint.
+/// Every dynamic grid step and the static features of a view, sorted and
+/// quantized column by column. Read by no src/ path — no src/ view carries
+/// one, and a GBT fit columnarizes only its own input matrix
+/// (TrainingFrame::FromMatrix). Kept only for perfbench's replay, which
+/// still times the build.
 class ColumnarView {
  public:
   /// Sorts and quantizes every column of every step. `max_bins` <= 256

@@ -102,17 +102,14 @@ FrameColumn ViewOfOwnedColumn(const OwnedColumn& owned) {
 TrainingFrame TrainingFrame::FromMatrix(const Matrix& x,
                                         std::size_t max_bins) {
   TrainingFrame frame;
-  frame.set_rows(x.rows());
+  frame.rows_ = x.rows();
+  frame.owned_.reserve(x.cols());
+  frame.columns_.reserve(x.cols());
   for (std::size_t c = 0; c < x.cols(); ++c) {
-    frame.AddOwnedColumn(x.Column(c), max_bins);
+    frame.owned_.push_back(MakeOwnedColumn(x.Column(c), max_bins));
+    frame.columns_.push_back(ViewOfOwnedColumn(frame.owned_.back()));
   }
   return frame;
-}
-
-void TrainingFrame::AddOwnedColumn(std::vector<double> values,
-                                   std::size_t max_bins) {
-  owned_.push_back(MakeOwnedColumn(std::move(values), max_bins));
-  columns_.push_back(ViewOfOwnedColumn(owned_.back()));
 }
 
 }  // namespace domd

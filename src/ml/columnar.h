@@ -2,7 +2,6 @@
 #define DOMD_ML_COLUMNAR_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -45,9 +44,8 @@ inline std::size_t BinOf(double v, std::span<const double> cuts) {
 /// values, the rows presorted by (value, row index) — the exact order the
 /// per-node exact scan needs — and quantized bin codes (u8 when the cut
 /// count fits a byte, u16 otherwise; exactly one of the two spans is
-/// non-empty for a quantized column). Spans point either into a
-/// ColumnarView (shared, built once per modeling view) or into storage
-/// owned by the TrainingFrame itself.
+/// non-empty for a quantized column). Spans point into an OwnedColumn or a
+/// ColumnarBlock.
 struct FrameColumn {
   std::span<const double> values;
   std::span<const std::uint32_t> order;
@@ -74,36 +72,28 @@ OwnedColumn MakeOwnedColumn(std::vector<double> values, std::size_t max_bins);
 /// Span view over an owned column.
 FrameColumn ViewOfOwnedColumn(const OwnedColumn& owned);
 
-/// The columnar design matrix a GBT fit consumes: one FrameColumn per
-/// feature, all with the same row count. Columns either alias a shared
-/// ColumnarView (zero-copy, amortized across fits) or are owned here
-/// (assembled per fit, e.g. the stacked base-prediction column).
+/// The columnar design matrix a GBT fit consumes: one owned, sorted and
+/// quantized column per feature of the fit's own input matrix. Movable,
+/// not copyable: the column spans alias the owned storage.
 class TrainingFrame {
  public:
-  TrainingFrame() = default;
-
   /// Columnarizes a row-major matrix (sort + quantize every column).
   static TrainingFrame FromMatrix(const Matrix& x,
                                   std::size_t max_bins = kDefaultFrameBins);
+
+  TrainingFrame(TrainingFrame&&) = default;
+  TrainingFrame& operator=(TrainingFrame&&) = default;
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return columns_.size(); }
   const FrameColumn& column(std::size_t f) const { return columns_[f]; }
 
-  /// Declares the row count; every added column must match it.
-  void set_rows(std::size_t rows) { rows_ = rows; }
-
-  /// Adds a column backed by external storage (must outlive the frame).
-  void AddColumn(const FrameColumn& column) { columns_.push_back(column); }
-
-  /// Adds a column the frame sorts, codes, and owns.
-  void AddOwnedColumn(std::vector<double> values,
-                      std::size_t max_bins = kDefaultFrameBins);
-
  private:
+  TrainingFrame() = default;
+
   std::size_t rows_ = 0;
-  std::vector<FrameColumn> columns_;
-  std::deque<OwnedColumn> owned_;  ///< deque: stable addresses for spans.
+  std::vector<OwnedColumn> owned_;
+  std::vector<FrameColumn> columns_;  ///< spans into owned_.
 };
 
 }  // namespace domd

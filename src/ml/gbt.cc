@@ -27,11 +27,6 @@ Status GbtRegressor::Fit(const Matrix& x, const std::vector<double>& y) {
   return FitImpl(nullptr, &frame, y);
 }
 
-Status GbtRegressor::FitWithFrame(const TrainingFrame& frame,
-                                  const std::vector<double>& y) {
-  return FitImpl(nullptr, &frame, y);
-}
-
 Status GbtRegressor::FitImpl(const Matrix* x, const TrainingFrame* frame,
                              const std::vector<double>& y) {
   DOMD_OBS_SPAN("gbt.fit");

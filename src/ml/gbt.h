@@ -37,12 +37,8 @@ class GbtRegressor final : public Regressor {
   /// TrainingFrame from x (sorted + quantized columns) and trains on it;
   /// kRowMajor keeps the legacy row-major scans. Both produce bit-identical
   /// ensembles unless params_.tree.quantized opts into the binned scan.
+  /// Trees grow serially; callers parallelize across independent fits.
   Status Fit(const Matrix& x, const std::vector<double>& y) override;
-
-  /// Fits directly on a prepared columnar frame (zero-copy when the frame
-  /// aliases a shared ColumnarView), bypassing row-major assembly.
-  Status FitWithFrame(const TrainingFrame& frame,
-                      const std::vector<double>& y);
 
   double Predict(std::span<const double> row) const override;
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "ml/columnar.h"
 
 namespace domd {
@@ -20,10 +19,6 @@ double NewtonWeight(double g, double h, double lambda) {
 double ScoreHalf(double g, double h, double lambda) {
   return g * g / (h + lambda);
 }
-
-/// Rows-times-features below which the split search stays serial: with so
-/// little work the ParallelFor dispatch costs more than it saves.
-constexpr std::size_t kMinParallelSplitWork = 2048;
 
 }  // namespace
 
@@ -181,43 +176,25 @@ RegressionTree::SplitDecision RegressionTree::FindSplitFrame(
     const std::vector<std::uint8_t>& mask) const {
   const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
 
-  // Same dispatch/reduction shape as the row-major FindSplit*: independent
-  // per-feature scans, serial reduce in feature order — bit-identical at
-  // every thread count.
-  std::vector<SplitDecision> per_feature(features.size());
-  const int threads =
-      (end - begin) * features.size() >= kMinParallelSplitWork
-          ? params.num_threads
-          : 1;
-  const std::size_t grain =
-      (features.size() + static_cast<std::size_t>(std::max(1, threads)) - 1) /
-      static_cast<std::size_t>(std::max(1, threads));
-  (void)ParallelFor(
-      threads, features.size(), grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          if (params.quantized) {
-            per_feature[j] = ScanFeatureQuantizedFrame(
-                frame, grad, hess, rows, begin, end, features[j], params,
-                g_total, h_total, parent_score);
-          } else if (params.split_method == SplitMethod::kExact) {
-            per_feature[j] = ScanFeatureExactFrame(
-                frame, grad, hess, end - begin, features[j], params, g_total,
-                h_total, parent_score, mask);
-          } else {
-            per_feature[j] = ScanFeatureHistogramFrame(
-                frame, grad, hess, rows, begin, end, features[j], params,
-                g_total, h_total, parent_score);
-          }
-        }
-        return Status::OK();
-      });
-
+  // Same reduction as the row-major FindSplit*: per-feature scans kept in
+  // feature order, so the chosen split is bit-identical across layouts.
   SplitDecision best;
-  for (const SplitDecision& candidate : per_feature) {
-    if (candidate.found && (!best.found || candidate.gain > best.gain)) {
-      best = candidate;
+  for (const std::size_t feature : features) {
+    SplitDecision candidate;
+    if (params.quantized) {
+      candidate = ScanFeatureQuantizedFrame(frame, grad, hess, rows, begin,
+                                            end, feature, params, g_total,
+                                            h_total, parent_score);
+    } else if (params.split_method == SplitMethod::kExact) {
+      candidate = ScanFeatureExactFrame(frame, grad, hess, end - begin,
+                                        feature, params, g_total, h_total,
+                                        parent_score, mask);
+    } else {
+      candidate = ScanFeatureHistogramFrame(frame, grad, hess, rows, begin,
+                                            end, feature, params, g_total,
+                                            h_total, parent_score);
     }
+    best.Consider(candidate);
   }
   if (best.found && best.gain <= 0.0) best.found = false;
   return best;
@@ -469,8 +446,6 @@ RegressionTree::SplitDecision RegressionTree::ScanFeatureHistogram(
   }
   if (!(hi > lo)) return best;
 
-  // Task-local histogram: each worker accumulates into its own bins, so the
-  // parallel build shares no mutable state.
   std::vector<double> bin_g(bins, 0.0), bin_h(bins, 0.0);
   const double width = (hi - lo) / static_cast<double>(bins);
   for (std::size_t i = begin; i < end; ++i) {
@@ -513,35 +488,12 @@ RegressionTree::SplitDecision RegressionTree::FindSplitExact(
     double g_total, double h_total) const {
   const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
 
-  // Scan features independently (possibly in parallel), then reduce
-  // serially in feature order. Within a feature ties keep the earliest
-  // boundary and across features the strict > keeps the earliest feature —
-  // exactly the serial loop's selection, so the reduction is bit-identical
-  // for every thread count.
-  std::vector<SplitDecision> per_feature(features.size());
-  const int threads =
-      (end - begin) * features.size() >= kMinParallelSplitWork
-          ? params.num_threads
-          : 1;
-  const std::size_t grain =
-      (features.size() + static_cast<std::size_t>(std::max(1, threads)) - 1) /
-      static_cast<std::size_t>(std::max(1, threads));
-  (void)ParallelFor(
-      threads, features.size(), grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          per_feature[j] =
-              ScanFeatureExact(x, grad, hess, rows, begin, end, features[j],
-                               params, g_total, h_total, parent_score);
-        }
-        return Status::OK();
-      });
-
+  // Within a feature ties keep the earliest boundary and across features
+  // the strict > keeps the earliest feature.
   SplitDecision best;
-  for (const SplitDecision& candidate : per_feature) {
-    if (candidate.found && (!best.found || candidate.gain > best.gain)) {
-      best = candidate;
-    }
+  for (const std::size_t feature : features) {
+    best.Consider(ScanFeatureExact(x, grad, hess, rows, begin, end, feature,
+                                   params, g_total, h_total, parent_score));
   }
   if (best.found && best.gain <= 0.0) best.found = false;
   return best;
@@ -555,31 +507,11 @@ RegressionTree::SplitDecision RegressionTree::FindSplitHistogram(
     double g_total, double h_total) const {
   const double parent_score = ScoreHalf(g_total, h_total, params.lambda);
 
-  std::vector<SplitDecision> per_feature(features.size());
-  const int threads =
-      (end - begin) * features.size() >= kMinParallelSplitWork
-          ? params.num_threads
-          : 1;
-  const std::size_t grain =
-      (features.size() + static_cast<std::size_t>(std::max(1, threads)) - 1) /
-      static_cast<std::size_t>(std::max(1, threads));
-  (void)ParallelFor(
-      threads, features.size(), grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          per_feature[j] = ScanFeatureHistogram(x, grad, hess, rows, begin,
-                                                end, features[j], params,
-                                                g_total, h_total,
-                                                parent_score);
-        }
-        return Status::OK();
-      });
-
   SplitDecision best;
-  for (const SplitDecision& candidate : per_feature) {
-    if (candidate.found && (!best.found || candidate.gain > best.gain)) {
-      best = candidate;
-    }
+  for (const std::size_t feature : features) {
+    best.Consider(ScanFeatureHistogram(x, grad, hess, rows, begin, end,
+                                       feature, params, g_total, h_total,
+                                       parent_score));
   }
   if (best.found && best.gain <= 0.0) best.found = false;
   return best;

@@ -38,11 +38,6 @@ struct TreeParams {
   double gamma = 0.0;             ///< Minimum gain to accept a split.
   SplitMethod split_method = SplitMethod::kExact;
   int histogram_bins = 32;
-  /// Workers for the per-feature split search (histogram build included).
-  /// Runtime knob, not a model parameter: never serialized, and every
-  /// thread count produces bit-identical trees (per-feature scans are
-  /// independent; the cross-feature reduction is serial in feature order).
-  int num_threads = 1;
   /// Physical layout of the training scans. Runtime knob, never
   /// serialized: both layouts grow bit-identical trees.
   TreeLayout layout = TreeLayout::kColumnar;
@@ -148,6 +143,14 @@ class RegressionTree {
     std::size_t feature = 0;
     double threshold = 0.0;
     double gain = 0.0;
+
+    /// Takes `candidate` when it is found and strictly better, so ties
+    /// keep the earliest feature scanned.
+    void Consider(const SplitDecision& candidate) {
+      if (candidate.found && (!found || candidate.gain > gain)) {
+        *this = candidate;
+      }
+    }
   };
 
   std::int32_t Grow(const Matrix& x, const std::vector<double>& grad,
@@ -219,8 +222,7 @@ class RegressionTree {
                                    const TreeParams& params, double g_total,
                                    double h_total) const;
 
-  /// Best split of a single feature over rows [begin, end) — the unit of
-  /// work the parallel split search distributes.
+  /// Best split of a single feature over rows [begin, end).
   SplitDecision ScanFeatureExact(const Matrix& x,
                                  const std::vector<double>& grad,
                                  const std::vector<double>& hess,

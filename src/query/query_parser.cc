@@ -1,6 +1,7 @@
 #include "query/query_parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -277,10 +278,18 @@ class Parser {
         query->swlin_prefix = std::atoll(prefix.c_str());
       } else if (ConsumeWord("AVAIL")) {
         DOMD_RETURN_IF_ERROR(ExpectSymbol('='));
-        if (Peek().kind != Token::Kind::kNumber) {
-          return Status::InvalidArgument("AVAIL must be a numeric id");
+        // Checked before the cast: a fractional or huge literal must not
+        // reach an undefined double-to-integer conversion, and ids above
+        // 2^53 would alias as doubles.
+        constexpr double kMaxExactId = 9007199254740991.0;  // 2^53 - 1
+        const double id = Peek().number;
+        if (Peek().kind != Token::Kind::kNumber || id != std::trunc(id) ||
+            std::fabs(id) > kMaxExactId) {
+          return Status::InvalidArgument(
+              "AVAIL must be an integer id within 2^53 - 1");
         }
-        query->avail_filter = static_cast<std::int64_t>(Next().number);
+        Next();
+        query->avail_filter = static_cast<std::int64_t>(id);
       } else {
         return Status::InvalidArgument("unknown predicate in WHERE clause");
       }

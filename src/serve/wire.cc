@@ -21,6 +21,19 @@ StatusOr<Date> DateMember(const JsonValue& object, const std::string& key,
   return Date::Parse(member->string_value());
 }
 
+/// Reads integer member `key` into *out through the checked
+/// JsonValue::Integer<T>, leaving *out (its default) when absent: a
+/// non-integral, out-of-range or above-2^53 value is INVALID_ARGUMENT
+/// rather than an undefined double-to-integer cast.
+template <typename T>
+Status IntegerMember(const JsonValue& object, const std::string& key,
+                     T* out) {
+  auto value = object.Integer<T>(key, *out);
+  if (!value.ok()) return value.status();
+  *out = *value;
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<Avail> AvailFromJson(const JsonValue& object) {
@@ -28,8 +41,8 @@ StatusOr<Avail> AvailFromJson(const JsonValue& object) {
     return Status::InvalidArgument("\"avail\" must be an object");
   }
   Avail avail;
-  avail.id = static_cast<std::int64_t>(object.NumberOr("id", 0));
-  avail.ship_id = static_cast<std::int64_t>(object.NumberOr("ship_id", 0));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "id", &avail.id));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "ship_id", &avail.ship_id));
   auto status = AvailStatusFromString(object.StringOr("status", "ongoing"));
   if (!status.ok()) return status.status();
   avail.status = *status;
@@ -50,15 +63,17 @@ StatusOr<Avail> AvailFromJson(const JsonValue& object) {
     avail.actual_end = *parsed;
   }
 
-  avail.ship_class = static_cast<int>(object.NumberOr("ship_class", 0));
-  avail.rmc_id = static_cast<int>(object.NumberOr("rmc_id", 0));
+  DOMD_RETURN_IF_ERROR(
+      IntegerMember(object, "ship_class", &avail.ship_class));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "rmc_id", &avail.rmc_id));
   avail.ship_age_years = object.NumberOr("ship_age_years", 0);
-  avail.avail_type = static_cast<int>(object.NumberOr("avail_type", 0));
-  avail.homeport = static_cast<int>(object.NumberOr("homeport", 0));
-  avail.prior_avail_count =
-      static_cast<int>(object.NumberOr("prior_avail_count", 0));
+  DOMD_RETURN_IF_ERROR(
+      IntegerMember(object, "avail_type", &avail.avail_type));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "homeport", &avail.homeport));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "prior_avail_count",
+                                     &avail.prior_avail_count));
   avail.contract_value_musd = object.NumberOr("contract_value_musd", 0);
-  avail.crew_size = static_cast<int>(object.NumberOr("crew_size", 0));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "crew_size", &avail.crew_size));
   return avail;
 }
 
@@ -67,8 +82,8 @@ StatusOr<Rcc> RccFromJson(const JsonValue& object) {
     return Status::InvalidArgument("each rcc must be an object");
   }
   Rcc rcc;
-  rcc.id = static_cast<std::int64_t>(object.NumberOr("id", 0));
-  rcc.avail_id = static_cast<std::int64_t>(object.NumberOr("avail_id", 0));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "id", &rcc.id));
+  DOMD_RETURN_IF_ERROR(IntegerMember(object, "avail_id", &rcc.avail_id));
   auto type = RccTypeFromCode(object.StringOr("type", "G"));
   if (!type.ok()) return type.status();
   rcc.type = *type;
@@ -82,8 +97,9 @@ StatusOr<Rcc> RccFromJson(const JsonValue& object) {
     if (!parsed.ok()) return parsed.status();
     rcc.swlin = *parsed;
   } else if (swlin->is_number()) {
-    auto parsed =
-        Swlin::FromInt(static_cast<std::int64_t>(swlin->number_value()));
+    const auto code = swlin->AsInteger<std::int64_t>("swlin");
+    if (!code.ok()) return code.status();
+    auto parsed = Swlin::FromInt(*code);
     if (!parsed.ok()) return parsed.status();
     rcc.swlin = *parsed;
   } else {
@@ -166,8 +182,7 @@ StatusOr<ScoreRequest> ParseScoreRequest(const JsonValue& request) {
     }
   }
   score.t_star = request.NumberOr("t_star", 100.0);
-  const double top_k = request.NumberOr("top_k", 5);
-  score.top_k = top_k < 0 ? 0 : static_cast<std::size_t>(top_k);
+  DOMD_RETURN_IF_ERROR(IntegerMember(request, "top_k", &score.top_k));
 
   // Shared integrity gate: reject at parse time anything the training
   // pipeline's dataset checks would refuse (zero planned duration, RCCs

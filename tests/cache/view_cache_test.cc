@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "cache/fingerprint.h"
+#include "common/rng.h"
 #include "data/logical_time.h"
+#include "data/splits.h"
 #include "synth/generator.h"
 
 namespace domd {
@@ -112,6 +114,29 @@ TEST(ViewCacheTest, HitReturnsTheSameSnapshot) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
+}
+
+TEST(ViewCacheTest, BenchScaleTrainViewFitsTheDefaultShardBudget) {
+  // The HPT benches' train view (ModelingConfig(42), x = 10% grid) must
+  // fit one shard of the default 256 MB / 8-shard cache, or every trial
+  // re-engineers it.
+  const Dataset data = GenerateDataset(ModelingConfig(42));
+  Rng rng(43);
+  const auto split = MakeSplit(data.avails, SplitOptions{}, &rng);
+  ASSERT_TRUE(split.ok()) << split.status();
+  const FeatureEngineer engineer(&data);
+  const std::vector<double> grid = LogicalTimeGrid(10.0);
+
+  ViewCache cache(kDefaultViewCacheBytes);
+  const auto first = BuildModelingViewShared(
+      data, engineer, split->train, grid, {}, cache.max_bytes(), &cache);
+  EXPECT_LE(ApproxModelingViewBytes(*first), kDefaultViewCacheBytes / 8);
+  const auto second = BuildModelingViewShared(
+      data, engineer, split->train, grid, {}, cache.max_bytes(), &cache);
+  EXPECT_EQ(first.get(), second.get());
+  const ViewCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(ViewCacheTest, CachedViewBitIdenticalToDirectBuild) {

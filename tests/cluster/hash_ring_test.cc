@@ -17,6 +17,17 @@ TEST(HashRingTest, CreateValidatesArguments) {
   EXPECT_TRUE(HashRing::Create({1, 2}).ok());
 }
 
+TEST(HashRingTest, VnodesAreBoundedBeforeAnyAllocation) {
+  EXPECT_TRUE(HashRing::Create({1}, kMaxVnodesPerShard).ok());
+  const auto over = HashRing::Create({1}, kMaxVnodesPerShard + 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  // Would reserve ~1 TB of ring points if it got that far.
+  const auto huge = HashRing::Create({1, 2}, 64294967296ull);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(HashRingTest, HashKeyIsStable) {
   // FNV-1a over little-endian bytes: the same value must hash identically
   // forever — placements are a wire contract between router, shards, and

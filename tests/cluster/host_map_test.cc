@@ -73,6 +73,28 @@ TEST(HostMapTest, RejectsStructuralErrors) {
           .ok());
 }
 
+TEST(HostMapTest, RejectsUncheckedIntegers) {
+  // vnodes: out of the ring's bound, fractional, negative, or not a
+  // number at all.
+  for (const char* vnodes :
+       {"64294967296", "1e300", "2.5", "-1", "0", "\"64\""}) {
+    const std::string spec =
+        std::string(R"({"vnodes": )") + vnodes +
+        R"(, "shards": [{"id": 0, "replicas": ["127.0.0.1:7501"]}]})";
+    const auto map = HostMap::Parse(spec);
+    ASSERT_FALSE(map.ok()) << vnodes;
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << vnodes;
+  }
+  // Shard id: must be an integer that fits an int.
+  for (const char* id : {"1e300", "-1e300", "1.5", "4294967296", "\"0\""}) {
+    const std::string spec = std::string(R"({"shards": [{"id": )") + id +
+                             R"(, "replicas": ["127.0.0.1:7501"]}]})";
+    const auto map = HostMap::Parse(spec);
+    ASSERT_FALSE(map.ok()) << id;
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << id;
+  }
+}
+
 TEST(HostMapTest, OwnerIndexAgreesWithRing) {
   auto map = HostMap::Parse(kSpec);
   ASSERT_TRUE(map.ok());

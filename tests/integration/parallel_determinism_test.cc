@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/timeline.h"
 #include "data/logical_time.h"
 #include "eval/cross_validation.h"
 #include "features/feature_engineer.h"
-#include "ml/gbt.h"
 #include "synth/generator.h"
 
 namespace domd {
@@ -94,47 +94,71 @@ TEST(ParallelDeterminismTest, FeatureTensorBitIdenticalOnRowSubset) {
   }
 }
 
-std::string FitAndSerialize(const Matrix& x, const std::vector<double>& y,
-                            SplitMethod method, int threads) {
-  GbtParams params;
-  params.num_rounds = 25;
-  params.tree.max_depth = 4;
-  params.tree.split_method = method;
-  params.tree.num_threads = threads;
-  GbtRegressor model(params);
-  const Status status = model.Fit(x, y);
+std::string FitTimelineAndSerialize(const ModelingView& view,
+                                    const std::vector<std::string>& names,
+                                    PipelineConfig config, int threads) {
+  config.parallelism.num_threads = threads;
+  TimelineModelSet models;
+  const Status status = models.Fit(config, view, names);
   EXPECT_TRUE(status.ok()) << status;
   std::ostringstream out;
-  model.Save(out);
+  EXPECT_TRUE(models.Save(out).ok());
   return out.str();
 }
 
-class GbtDeterminismTest : public ::testing::TestWithParam<SplitMethod> {};
+class TimelineFitDeterminismTest
+    : public ::testing::TestWithParam<std::tuple<SplitMethod, Architecture>> {
+};
 
-TEST_P(GbtDeterminismTest, SerializedModelIdenticalAcrossThreadCounts) {
+// The step models fit in parallel; selection stays serial. The Random
+// selector draws from one RNG in step order, so it fails this test if
+// selection ever moves into the parallel loop.
+TEST_P(TimelineFitDeterminismTest, SerializedModelsIdenticalAcrossThreads) {
+  const auto [method, architecture] = GetParam();
   const Dataset data = SeededFleet();
-  const std::vector<std::int64_t> ids = AllIds(data);
   const std::vector<double> grid = LogicalTimeGrid(25.0);
   const FeatureEngineer engineer(&data);
-  const ModelingView view = BuildModelingView(data, engineer, ids, grid);
-  const Matrix& x = view.dynamic.slice(2);
+  std::vector<std::int64_t> closed;
+  for (const Avail& avail : data.avails.rows()) {
+    if (avail.delay().has_value()) closed.push_back(avail.id);
+  }
+  const ModelingView view = BuildModelingView(data, engineer, closed, grid);
+  std::vector<std::string> names;
+  for (const FeatureDef& def : engineer.catalog().features()) {
+    names.push_back(def.name);
+  }
 
-  const std::string serial = FitAndSerialize(x, view.labels, GetParam(), 1);
+  PipelineConfig config;
+  config.selection = SelectionMethod::kRandom;
+  config.num_features = 12;
+  config.architecture = architecture;
+  config.gbt.num_rounds = 15;
+  config.gbt.tree.max_depth = 4;
+  config.gbt.tree.split_method = method;
+  config.window_width_pct = 25.0;
+
+  const std::string serial = FitTimelineAndSerialize(view, names, config, 1);
   ASSERT_FALSE(serial.empty());
-  for (int threads : kThreadCounts) {
-    EXPECT_EQ(FitAndSerialize(x, view.labels, GetParam(), threads), serial)
+  for (int threads : {2, 4, 8}) {
+    EXPECT_EQ(FitTimelineAndSerialize(view, names, config, threads), serial)
         << "threads=" << threads;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SplitMethods, GbtDeterminismTest,
-                         ::testing::Values(SplitMethod::kExact,
-                                           SplitMethod::kHistogram),
-                         [](const auto& info) {
-                           return info.param == SplitMethod::kExact
-                                      ? "Exact"
-                                      : "Histogram";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Configs, TimelineFitDeterminismTest,
+    ::testing::Combine(::testing::Values(SplitMethod::kExact,
+                                         SplitMethod::kHistogram),
+                       ::testing::Values(Architecture::kNonStacked,
+                                         Architecture::kStacked)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == SplitMethod::kExact
+                             ? "Exact"
+                             : "Histogram") +
+             (std::get<1>(info.param) == Architecture::kStacked
+                  ? "Stacked"
+                  : "NonStacked");
+    });
 
 TEST(ParallelDeterminismTest, CrossValidationMetricsIdenticalAcrossThreads) {
   const Dataset data = SeededFleet();

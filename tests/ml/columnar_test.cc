@@ -114,14 +114,13 @@ TEST(OwnedColumn, NarrowBudgetUsesByteCodes) {
   EXPECT_EQ(owned.codes8[2], 2u);
 }
 
-class LayoutIdentityTest
-    : public ::testing::TestWithParam<std::tuple<SplitMethod, int>> {};
+class LayoutIdentityTest : public ::testing::TestWithParam<SplitMethod> {};
 
 // The tentpole identity: columnar training must reproduce the row-major
 // ensemble bit for bit — same trees, same thresholds, same weights — for
-// both split methods and at every thread count.
+// both split methods.
 TEST_P(LayoutIdentityTest, ColumnarMatchesRowMajorBitwise) {
-  const auto [method, threads] = GetParam();
+  const SplitMethod method = GetParam();
   const Matrix x = RandomMatrix(240, 12, 7);
   const std::vector<double> y = RandomLabels(240, 11);
 
@@ -131,7 +130,6 @@ TEST_P(LayoutIdentityTest, ColumnarMatchesRowMajorBitwise) {
   params.colsample = 0.7;
   params.tree.max_depth = 4;
   params.tree.split_method = method;
-  params.tree.num_threads = threads;
 
   params.tree.layout = TreeLayout::kRowMajor;
   GbtRegressor row_model(params, Loss::PseudoHuber(18.0));
@@ -144,11 +142,14 @@ TEST_P(LayoutIdentityTest, ColumnarMatchesRowMajorBitwise) {
   EXPECT_EQ(SaveToString(row_model), SaveToString(col_model));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MethodsAndThreads, LayoutIdentityTest,
-    ::testing::Combine(::testing::Values(SplitMethod::kExact,
-                                         SplitMethod::kHistogram),
-                       ::testing::Values(1, 2, 4)));
+INSTANTIATE_TEST_SUITE_P(Methods, LayoutIdentityTest,
+                         ::testing::Values(SplitMethod::kExact,
+                                           SplitMethod::kHistogram),
+                         [](const auto& info) {
+                           return info.param == SplitMethod::kExact
+                                      ? "Exact"
+                                      : "Histogram";
+                         });
 
 TEST(LayoutIdentity, AbsoluteLossLeafRefinementMatches) {
   // The leaf-refinement path (LeafFor vs LeafForFrameRow) must route rows

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace domd {
 namespace {
 
@@ -90,6 +92,25 @@ TEST(QueryParserTest, RejectsMalformedQueries) {
   for (const char* text : bad) {
     EXPECT_FALSE(ParseStatusQuery(text).ok()) << text;
   }
+}
+
+TEST(QueryParserTest, AvailIdMustBeAnExactInteger) {
+  // Fractional, beyond int64 and beyond 2^53 (where ids alias as doubles):
+  // all rejected before any double-to-integer cast.
+  for (const char* id : {"1.5", "99999999999999999999999", "9007199254740994",
+                         "-9007199254740994"}) {
+    const std::string text =
+        std::string("SELECT COUNT FROM RCC WHERE STATUS = SETTLED AND ") +
+        "AVAIL = " + id + " AT 10";
+    const auto parsed = ParseStatusQuery(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  const auto largest = ParseStatusQuery(
+      "SELECT COUNT FROM RCC WHERE STATUS = SETTLED AND AVAIL = "
+      "9007199254740991 AT 10");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(*largest->query.avail_filter, 9007199254740991);
 }
 
 TEST(QueryParserTest, FormatParseRoundTrip) {

@@ -37,8 +37,9 @@
 // same ModelBundle::Load path, so the CLI and the server can never drift
 // apart on the artifact format.
 //
-// --threads N sets the worker count for feature engineering, GBT split
-// search, and cross-validation (0 = one per hardware thread, the default).
+// --threads N sets the worker count for feature engineering, the
+// timeline's per-step model fits (each tree grows serially), and
+// cross-validation folds (0 = one per hardware thread, the default).
 // Results are bit-identical for every N; the knob only trades wall-clock.
 //
 // --cache-bytes B (train/tune/evaluate/query/predict/report) budgets the
@@ -47,8 +48,9 @@
 // reruns.
 //
 // --gbt-layout row|columnar (train/tune) picks the GBT training scan:
-// "columnar" (the default) trains over the pre-sorted per-feature columns
-// of DESIGN.md §13, "row" is the legacy per-node sort-and-scan reference.
+// "columnar" (the default) sorts each input column once per fit and trains
+// over those columns (DESIGN.md §13), "row" is the legacy per-node
+// sort-and-scan reference.
 // Both layouts produce byte-identical model files; the flag only trades
 // wall-clock, and it is never written into a model or bundle.
 // --quantized-hist 1 additionally enables the opt-in quantized-histogram
@@ -493,10 +495,14 @@ int CmdPredict(const Flags& flags) {
       // {"avail_id": N, "t_star": T, "top_k": K}.
       if (const JsonValue* avail_id = request->Find("avail_id");
           avail_id != nullptr && avail_id->is_number()) {
-        const auto result = (*bundle)->ScoreReferenceAvail(
-            static_cast<std::int64_t>(avail_id->number_value()),
-            request->NumberOr("t_star", 100.0),
-            static_cast<std::size_t>(request->NumberOr("top_k", 5)));
+        const auto id = avail_id->AsInteger<std::int64_t>("avail_id");
+        const auto top_k = request->Integer<std::size_t>("top_k", 5);
+        const auto result =
+            !id.ok()      ? StatusOr<ServePrediction>(id.status())
+            : !top_k.ok() ? StatusOr<ServePrediction>(top_k.status())
+                          : (*bundle)->ScoreReferenceAvail(
+                                *id, request->NumberOr("t_star", 100.0),
+                                *top_k);
         if (!result.ok()) {
           std::printf("%s\n",
                       ErrorToJson(result.status()).Serialize().c_str());
