@@ -102,7 +102,7 @@ bool ProbesMatch(const MemoEntry& a, const MemoEntry& b) {
 std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word) {
   for (int byte = 0; byte < 8; ++byte) {
     hash ^= (word >> (byte * 8)) & 0xFF;
-    hash *= 0x100000001B3ull;
+    hash *= kFnv1aPrime;
   }
   return hash;
 }

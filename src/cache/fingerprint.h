@@ -4,13 +4,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.h"
 #include "data/tables.h"
 
 namespace domd {
 
 /// Folds one 64-bit word into an FNV-1a style running hash. The seed for a
 /// fresh digest is kFingerprintSeed.
-inline constexpr std::uint64_t kFingerprintSeed = 0xCBF29CE484222325ull;
+inline constexpr std::uint64_t kFingerprintSeed = kFnv1aOffset;
 std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word);
 
 /// Content digest of a full dataset: every field of every avail and RCC

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace domd {
@@ -15,14 +16,7 @@ std::atomic<bool> g_enabled{false};
 
 /// FNV-1a over the point name: the per-point rng stream index, so two
 /// points armed with the same seed still draw decorrelated sequences.
-std::uint64_t NameStream(const std::string& name) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (char c : name) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
+std::uint64_t NameStream(const std::string& name) { return Fnv1a64(name); }
 
 StatusOr<std::uint64_t> ParseCount(const std::string& text,
                                    const std::string& spec) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace domd {
 
 const char* FeatureKindToString(FeatureKind kind) {
@@ -146,16 +148,12 @@ const std::vector<std::string>& StaticFeatureNames() {
 
 std::uint64_t FeatureCatalogVersion() {
   static const std::uint64_t version = [] {
+    // FNV-1a over every name, each followed by a 0xFF separator byte so
+    // {"ab","c"} != {"a","bc"}.
     auto fnv1a = [](std::uint64_t hash, const std::string& text) {
-      for (char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001B3ull;
-      }
-      hash ^= 0xFF;  // separator so {"ab","c"} != {"a","bc"}
-      hash *= 0x100000001B3ull;
-      return hash;
+      return Fnv1a64(std::string_view("\xFF", 1), Fnv1a64(text, hash));
     };
-    std::uint64_t hash = 0xCBF29CE484222325ull;
+    std::uint64_t hash = kFnv1aOffset;
     for (const std::string& name : StaticFeatureNames()) {
       hash = fnv1a(hash, name);
     }

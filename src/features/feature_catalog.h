@@ -76,7 +76,9 @@ const std::vector<std::string>& StaticFeatureNames();
 /// the full dynamic catalog, in column order), computed once per process.
 /// Any change to the generated feature set changes this value, which keys
 /// the modeling-view cache and invalidates snapshots built under an older
-/// catalog.
+/// catalog. It is also the `schema_hash` a serving bundle's MANIFEST
+/// records: a bundle written under another schema refuses to load, since
+/// its model input columns would silently misalign.
 std::uint64_t FeatureCatalogVersion();
 
 }  // namespace domd

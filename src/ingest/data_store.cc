@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cache/fingerprint.h"
+#include "common/durable_file.h"
 #include "fault/fault.h"
 
 namespace domd {

@@ -12,6 +12,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/durable_file.h"
+#include "common/hash.h"
 #include "fault/fault.h"
 
 namespace domd {
@@ -19,15 +21,6 @@ namespace {
 
 constexpr char kHeaderV1[] = "domd-ingest-log v1\n";
 constexpr char kHeaderV2Prefix[] = "domd-ingest-log v2 ";
-
-std::uint64_t Fnv1a(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
 
 std::string HexU64(std::uint64_t value) {
   char buf[17];
@@ -38,7 +31,7 @@ std::string HexU64(std::uint64_t value) {
 
 std::string EncodeRecord(const IngestMutation& mutation) {
   const std::string payload = EncodeMutation(mutation);
-  return std::to_string(payload.size()) + " " + HexU64(Fnv1a(payload)) +
+  return std::to_string(payload.size()) + " " + HexU64(Fnv1a64(payload)) +
          " " + payload + "\n";
 }
 
@@ -91,43 +84,6 @@ Status ParseHeader(std::string_view contents, std::size_t* record_begin,
   return Status::DataLoss("unrecognized ingest log header");
 }
 
-Status FsyncFd(int fd, const std::string& what) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError("fsync failed for " + what + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status FsyncParentDir(const std::string& path) {
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError("open dir for fsync failed: " + dir + ": " +
-                           std::strerror(errno));
-  }
-  const Status synced = FsyncFd(fd, "dir " + dir);
-  ::close(fd);
-  return synced;
-}
-
-Status WriteAll(int fd, std::string_view bytes, const std::string& what) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("write failed for " + what + ": " +
-                             std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
 /// One complete record line (no trailing '\n'): length, checksum and
 /// payload all consistent.
 bool LineIsValidRecord(std::string_view line) {
@@ -146,7 +102,7 @@ bool LineIsValidRecord(std::string_view line) {
       std::from_chars(checksum_text.data(),
                       checksum_text.data() + checksum_text.size(),
                       checksum, 16);
-  if (cec != std::errc() || checksum != Fnv1a(payload)) return false;
+  if (cec != std::errc() || checksum != Fnv1a64(payload)) return false;
   return DecodeMutation(payload).ok();
 }
 
@@ -195,7 +151,7 @@ std::size_t ScanRecords(std::string_view contents, std::size_t begin,
         std::from_chars(checksum_text.data(),
                         checksum_text.data() + checksum_text.size(),
                         checksum, 16);
-    if (ec != std::errc() || checksum != Fnv1a(payload)) {
+    if (ec != std::errc() || checksum != Fnv1a64(payload)) {
       *torn = true;
       return line_start;
     }
@@ -422,26 +378,6 @@ Status IngestLog::Rotate(const std::vector<IngestMutation>& still_pending,
   base_chain_ = new_base_chain;
   count_ = still_pending.size();
   return FsyncParentDir(path_);
-}
-
-Status WriteFileDurably(const std::string& path,
-                        const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  Status written = WriteAll(fd, contents, tmp);
-  if (written.ok()) written = FsyncFd(fd, tmp);
-  ::close(fd);
-  if (!written.ok()) return written;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename " + tmp + " into place: " +
-                           std::strerror(errno));
-  }
-  return FsyncParentDir(path);
 }
 
 }  // namespace domd

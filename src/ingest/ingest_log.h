@@ -116,11 +116,6 @@ class IngestLog {
   std::uint64_t count_ = 0;  ///< records currently in the file.
 };
 
-/// Durable small-file write (write to <path>.tmp, fsync, rename, fsync
-/// parent): the staging idiom the bundle writer uses, shared here for the
-/// merge path's CSV persistence.
-Status WriteFileDurably(const std::string& path, const std::string& contents);
-
 }  // namespace domd
 
 #endif  // DOMD_INGEST_INGEST_LOG_H_

@@ -1,20 +1,22 @@
 #include "serve/model_bundle.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <sstream>
 
+#include "common/durable_file.h"
+#include "common/hash.h"
+#include "common/strings.h"
 #include "core/fusion.h"
 #include "data/integrity.h"
 #include "data/logical_time.h"
 #include "fault/fault.h"
-#include "features/static_features.h"
+#include "features/feature_catalog.h"
 
 namespace domd {
 namespace {
@@ -24,33 +26,116 @@ constexpr char kModelsName[] = "models.txt";
 constexpr char kAvailsName[] = "avails.csv";
 constexpr char kRccsName[] = "rccs.csv";
 
-std::uint64_t Fnv1a(std::uint64_t hash, std::string_view text) {
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  // Separator byte so {"ab","c"} and {"a","bc"} hash differently.
-  hash ^= 0xFF;
-  hash *= 0x100000001B3ull;
-  return hash;
-}
+/// The payload files a MANIFEST checksums, in the order the manifest lists
+/// them, `Load` parses them and a publish stages them.
+constexpr const char* kPayloadNames[] = {kAvailsName, kRccsName, kModelsName};
+constexpr std::size_t kNumPayloads = std::size(kPayloadNames);
+using Payloads = std::array<std::string, kNumPayloads>;
 
-/// Plain FNV-1a 64 over a file's raw bytes — the per-file checksum recorded
-/// in the MANIFEST and re-verified on every load.
-std::uint64_t FileChecksum(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
+/// A parsed MANIFEST and the raw bytes it was parsed from.
+struct Manifest {
+  std::string bytes;
+  std::string version;
+  std::uint64_t schema_hash = 0;
+  std::uint64_t num_avails = 0;
+  std::uint64_t num_rccs = 0;
+  std::array<std::uint64_t, kNumPayloads> checksums{};  ///< per payload.
+};
 
 bool IsValidVersionTag(const std::string& version) {
   if (version.empty() || version.size() > 128) return false;
   return std::none_of(version.begin(), version.end(), [](char c) {
     return std::isspace(static_cast<unsigned char>(c)) != 0;
   });
+}
+
+/// Whole-string unsigned decimal: no sign, no whitespace, no overflow.
+bool ParseU64(std::string_view text, std::uint64_t* value) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), *value);
+  return ec == std::errc() && ptr == text.data() + text.size();
+}
+
+/// The one MANIFEST reader, shared by `Load` and `CopyBundleDurable`. It
+/// accepts exactly what `Write` emits: the "domd_bundle v2" magic line, the
+/// version, schema_hash, avails and rccs records in that order, then one
+/// checksum record per payload file in any order. A missing manifest is
+/// kIoError (possibly transient), a malformed one kInvalidArgument, and one
+/// that lacks a payload's checksum kDataLoss (torn or tampered). The
+/// serve.bundle.read fault point fires once here; the manifest bytes never
+/// pass through serve.bundle.corrupt.
+StatusOr<Manifest> ReadManifest(const std::string& dir) {
+  const std::string path = dir + "/" + kManifestName;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open bundle manifest in " + dir);
+  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.read").Check());
+  Manifest manifest;
+  manifest.bytes.assign(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+  if (in.bad()) return Status::IoError("read failed for " + path);
+
+  const auto bad = [&](const std::string& what) {
+    return Status::InvalidArgument(dir + ": " + what);
+  };
+  std::vector<std::string> lines = StrSplit(manifest.bytes, '\n');
+  if (lines.back().empty()) lines.pop_back();  // the final newline.
+  if (lines.empty() || lines[0] != "domd_bundle v2") {
+    return bad("not a domd_bundle v2 manifest (bad magic)");
+  }
+  std::vector<std::vector<std::string>> records;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    records.push_back(StrSplit(lines[i], ' '));
+  }
+  // Value of the "<key> <value>" header record at `index`, or nullptr.
+  const auto header = [&](std::size_t index,
+                          std::string_view key) -> const std::string* {
+    if (index >= records.size() || records[index].size() != 2 ||
+        records[index][0] != key) {
+      return nullptr;
+    }
+    return &records[index][1];
+  };
+  const std::string* version = header(0, "version");
+  if (version == nullptr || !IsValidVersionTag(*version)) {
+    return bad("bad manifest version record");
+  }
+  manifest.version = *version;
+  const std::string* schema_hash = header(1, "schema_hash");
+  if (schema_hash == nullptr ||
+      !ParseU64(*schema_hash, &manifest.schema_hash)) {
+    return bad("bad manifest schema_hash record");
+  }
+  const std::string* avails = header(2, "avails");
+  const std::string* rccs = header(3, "rccs");
+  if (avails == nullptr || rccs == nullptr ||
+      !ParseU64(*avails, &manifest.num_avails) ||
+      !ParseU64(*rccs, &manifest.num_rccs)) {
+    return bad("bad manifest cardinality record");
+  }
+  std::array<bool, kNumPayloads> seen{};
+  for (std::size_t i = 4; i < records.size(); ++i) {
+    const std::vector<std::string>& fields = records[i];
+    if (fields.size() != 3 || fields[0] != "checksum") {
+      return bad("bad manifest record \"" + fields[0] + "\"");
+    }
+    const auto* name = std::find(std::begin(kPayloadNames),
+                                 std::end(kPayloadNames), fields[1]);
+    if (name == std::end(kPayloadNames)) {
+      return bad("checksum for unknown file \"" + fields[1] + "\"");
+    }
+    const auto k = static_cast<std::size_t>(name - std::begin(kPayloadNames));
+    if (seen[k] || !ParseU64(fields[2], &manifest.checksums[k])) {
+      return bad("bad checksum record for " + fields[1]);
+    }
+    seen[k] = true;
+  }
+  for (std::size_t k = 0; k < kNumPayloads; ++k) {
+    if (!seen[k]) {
+      return Status::DataLoss(dir + ": manifest lacks a checksum for " +
+                              kPayloadNames[k] + " — torn or tampered bundle");
+    }
+  }
+  return manifest;
 }
 
 /// Reads a whole file. The serve.bundle.read fault point injects transient
@@ -68,42 +153,35 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-/// Writes `content` to `path` and fsyncs it before closing, so a committed
-/// bundle file is durable before the manifest (and then the rename) makes
-/// it reachable. The serve.bundle.write fault point simulates a crash
-/// mid-publication: the staging file is left torn and never committed.
-Status WriteFileDurable(const std::string& path, std::string_view content) {
-  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.write").Check());
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  std::size_t written = 0;
-  while (written < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + written,
-                              content.size() - written);
-    if (n < 0) {
-      ::close(fd);
-      return Status::IoError("write failed for " + path);
+/// Reads every payload file of the bundle at `dir` and verifies it against
+/// `manifest`. A flipped bit anywhere is kDataLoss before any parser runs,
+/// and so is a file the manifest promises but the directory lacks: that is
+/// a torn publish, not a transient I/O failure, so retrying cannot help.
+StatusOr<Payloads> ReadVerifiedPayloads(const std::string& dir,
+                                        const Manifest& manifest) {
+  Payloads payloads;
+  for (std::size_t k = 0; k < kNumPayloads; ++k) {
+    const std::string path = dir + "/" + kPayloadNames[k];
+    auto bytes = ReadFileBytes(path);
+    if (!bytes.ok()) {
+      if (bytes.status().code() == StatusCode::kIoError &&
+          !std::filesystem::exists(path)) {
+        return Status::DataLoss(path +
+                                " is missing but listed in the manifest — "
+                                "torn bundle publish");
+      }
+      return bytes.status();
     }
-    written += static_cast<std::size_t>(n);
+    const std::uint64_t checksum = Fnv1a64(*bytes);
+    if (checksum != manifest.checksums[k]) {
+      return Status::DataLoss(
+          path + ": checksum mismatch (manifest " +
+          std::to_string(manifest.checksums[k]) + ", file " +
+          std::to_string(checksum) + ") — bundle is torn or corrupt");
+    }
+    payloads[k] = std::move(*bytes);
   }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return Status::IoError("fsync failed for " + path);
-  }
-  if (::close(fd) != 0) {
-    return Status::IoError("close failed for " + path);
-  }
-  return Status::OK();
-}
-
-/// Best-effort fsync of a directory, making a just-renamed entry durable.
-void FsyncDirectory(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
+  return payloads;
 }
 
 /// Atomically publishes the fully-written staging directory as `final`.
@@ -134,39 +212,17 @@ Status CommitDirectory(const std::string& staging, const std::string& final) {
                            final + ": " + ec.message());
   }
   if (displaced) std::filesystem::remove_all(old, ec);
-  const std::filesystem::path parent =
-      std::filesystem::path(final).parent_path();
-  FsyncDirectory(parent.empty() ? "." : parent.string());
-  return Status::OK();
+  return FsyncParentDir(final);
 }
 
-}  // namespace
-
-std::uint64_t ServingSchemaHash() {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const std::string& name : StaticFeatureNames()) {
-    hash = Fnv1a(hash, name);
-  }
-  static const FeatureCatalog catalog;
-  for (const FeatureDef& def : catalog.features()) {
-    hash = Fnv1a(hash, def.name);
-  }
-  return hash;
-}
-
-Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
-                          const std::string& dir,
-                          const std::string& version) {
-  if (!IsValidVersionTag(version)) {
-    return Status::InvalidArgument(
-        "bundle version must be a non-empty whitespace-free tag");
-  }
-
-  // Crash-safe publication protocol (DESIGN.md §10): every file is staged
-  // into <dir>.tmp, fsynced, and checksummed into the MANIFEST; only a
-  // fully-written staging directory is atomically renamed onto <dir>. A
-  // crash at any earlier instant leaves at most a stale .tmp directory —
-  // the published path never holds a torn bundle.
+/// Crash-safe publication protocol (DESIGN.md §10), shared by `Write` and
+/// `CopyBundleDurable`: every file is staged into <dir>.tmp and fsynced,
+/// the manifest last; only a fully-written staging directory is atomically
+/// renamed onto <dir>. A crash (or injected fault) at any earlier instant
+/// leaves at most a stale .tmp directory — the published path never holds
+/// a torn bundle.
+Status PublishBundle(const std::string& dir, const Payloads& payloads,
+                     std::string_view manifest) {
   const std::string staging = dir + ".tmp";
   std::error_code ec;
   std::filesystem::remove_all(staging, ec);  // stale staging from a crash.
@@ -176,35 +232,17 @@ Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
     return Status::IoError("cannot create staging directory " + staging +
                            ": " + ec.message());
   }
-
-  const std::string avails_text = data.avails.ToCsv().Serialize();
-  const std::string rccs_text = data.rccs.ToCsv().Serialize();
-  std::ostringstream models_out;
-  DOMD_RETURN_IF_ERROR(estimator.models().Save(models_out));
-  const std::string models_text = models_out.str();
-
-  DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kAvailsName, avails_text));
-  DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kRccsName, rccs_text));
-  DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kModelsName, models_text));
-
-  std::ostringstream manifest;
-  manifest << "domd_bundle v2\n";
-  manifest << "version " << version << "\n";
-  manifest << "schema_hash " << ServingSchemaHash() << "\n";
-  manifest << "avails " << data.avails.size() << "\n";
-  manifest << "rccs " << data.rccs.size() << "\n";
-  manifest << "checksum " << kAvailsName << " " << FileChecksum(avails_text)
-           << "\n";
-  manifest << "checksum " << kRccsName << " " << FileChecksum(rccs_text)
-           << "\n";
-  manifest << "checksum " << kModelsName << " " << FileChecksum(models_text)
-           << "\n";
-  DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kManifestName, manifest.str()));
-  FsyncDirectory(staging);
+  // The serve.bundle.write fault point simulates a crash mid-publication:
+  // the staging directory is left torn and never committed.
+  const auto stage = [&](const char* name, std::string_view bytes) {
+    DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.write").Check());
+    return WriteFileSynced(staging + "/" + name, bytes);
+  };
+  for (std::size_t k = 0; k < kNumPayloads; ++k) {
+    DOMD_RETURN_IF_ERROR(stage(kPayloadNames[k], payloads[k]));
+  }
+  DOMD_RETURN_IF_ERROR(stage(kManifestName, manifest));
+  DOMD_RETURN_IF_ERROR(FsyncDirectory(staging));
 
   // The commit point: a crash (or injected fault) before the rename leaves
   // only the staging directory; the published path is untouched.
@@ -212,170 +250,94 @@ Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
   return CommitDirectory(staging, dir);
 }
 
+/// Index of the last grid step at or before `t_star`; before the start
+/// only the base step (0) answers.
+std::size_t LastStep(const std::vector<double>& grid, double t_star) {
+  return static_cast<std::size_t>(
+      std::max(GridIndexAtOrBefore(grid, t_star), 0));
+}
+
+}  // namespace
+
+Status ModelBundle::Write(const DomdEstimator& estimator, const Dataset& data,
+                          const std::string& dir,
+                          const std::string& version) {
+  if (!IsValidVersionTag(version)) {
+    return Status::InvalidArgument(
+        "bundle version must be a non-empty whitespace-free tag");
+  }
+  Payloads payloads;
+  payloads[0] = data.avails.ToCsv().Serialize();
+  payloads[1] = data.rccs.ToCsv().Serialize();
+  std::ostringstream models_out;
+  DOMD_RETURN_IF_ERROR(estimator.models().Save(models_out));
+  payloads[2] = models_out.str();
+
+  std::ostringstream manifest;
+  manifest << "domd_bundle v2\n";
+  manifest << "version " << version << "\n";
+  manifest << "schema_hash " << FeatureCatalogVersion() << "\n";
+  manifest << "avails " << data.avails.size() << "\n";
+  manifest << "rccs " << data.rccs.size() << "\n";
+  for (std::size_t k = 0; k < kNumPayloads; ++k) {
+    manifest << "checksum " << kPayloadNames[k] << " "
+             << Fnv1a64(payloads[k]) << "\n";
+  }
+  return PublishBundle(dir, payloads, manifest.str());
+}
+
 Status CopyBundleDurable(const std::string& src_dir,
                          const std::string& dest_dir) {
-  // Read the manifest first: its checksum records gate the copy exactly
-  // like they gate Load, so a corrupt source never propagates.
-  auto manifest_bytes = ReadFileBytes(src_dir + "/" + kManifestName);
-  if (!manifest_bytes.ok()) return manifest_bytes.status();
-
-  std::map<std::string, std::uint64_t> checksums;
-  {
-    std::istringstream manifest(*manifest_bytes);
-    std::string magic, format;
-    if (!(manifest >> magic >> format) || magic != "domd_bundle" ||
-        (format != "v1" && format != "v2")) {
-      return Status::InvalidArgument(src_dir +
-                                     ": not a domd bundle (bad magic)");
-    }
-    if (format == "v2") {
-      std::string line;
-      std::getline(manifest, line);  // rest of the magic line.
-      while (std::getline(manifest, line)) {
-        std::istringstream record(line);
-        std::string key, name;
-        std::uint64_t sum = 0;
-        if ((record >> key >> name >> sum) && key == "checksum") {
-          checksums[name] = sum;
-        }
-      }
-    }
-  }
-
-  const std::string staging = dest_dir + ".tmp";
-  std::error_code ec;
-  std::filesystem::remove_all(staging, ec);
-  ec.clear();
-  std::filesystem::create_directories(staging, ec);
-  if (ec) {
-    return Status::IoError("cannot create staging directory " + staging +
-                           ": " + ec.message());
-  }
-  for (const char* name : {kModelsName, kAvailsName, kRccsName}) {
-    auto bytes = ReadFileBytes(src_dir + "/" + name);
-    if (!bytes.ok()) return bytes.status();
-    const auto expected = checksums.find(name);
-    if (expected != checksums.end() &&
-        FileChecksum(*bytes) != expected->second) {
-      return Status::DataLoss(src_dir + "/" + name +
-                              ": checksum mismatch during staging copy");
-    }
-    DOMD_RETURN_IF_ERROR(WriteFileDurable(staging + "/" + name, *bytes));
-  }
-  DOMD_RETURN_IF_ERROR(
-      WriteFileDurable(staging + "/" + kManifestName, *manifest_bytes));
-  FsyncDirectory(staging);
-  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.commit").Check());
-  return CommitDirectory(staging, dest_dir);
+  // The manifest and checksums gate the copy exactly like they gate Load,
+  // and nothing is written until every source file verified, so a corrupt
+  // or torn source never propagates.
+  auto manifest = ReadManifest(src_dir);
+  if (!manifest.ok()) return manifest.status();
+  auto payloads = ReadVerifiedPayloads(src_dir, *manifest);
+  if (!payloads.ok()) return payloads.status();
+  return PublishBundle(dest_dir, *payloads, manifest->bytes);
 }
 
 StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
     const std::string& dir, const Parallelism& parallelism,
     std::size_t cache_bytes) {
-  std::ifstream manifest(dir + "/" + kManifestName);
-  if (!manifest) {
-    return Status::IoError("cannot open bundle manifest in " + dir);
-  }
-  DOMD_RETURN_IF_ERROR(DOMD_FAULT_POINT("serve.bundle.read").Check());
-  std::string magic, format;
-  if (!(manifest >> magic >> format) || magic != "domd_bundle" ||
-      (format != "v1" && format != "v2")) {
-    return Status::InvalidArgument(dir + ": not a domd bundle (bad magic)");
-  }
-  // v1 manifests (pre-checksum) are still accepted so old artifacts load;
-  // they simply skip the corruption gate. Every v2 manifest must name a
-  // checksum for all three payload files.
-  const bool has_checksums = format == "v2";
-  std::string version;
-  std::uint64_t schema_hash = 0;
-  std::size_t num_avails = 0, num_rccs = 0;
-  std::string key;
-  if (!(manifest >> key >> version) || key != "version" ||
-      !IsValidVersionTag(version)) {
-    return Status::InvalidArgument(dir + ": bad manifest version record");
-  }
-  if (!(manifest >> key >> schema_hash) || key != "schema_hash") {
-    return Status::InvalidArgument(dir + ": bad manifest schema_hash record");
-  }
-  if (!(manifest >> key >> num_avails) || key != "avails" ||
-      !(manifest >> key >> num_rccs) || key != "rccs") {
-    return Status::InvalidArgument(dir + ": bad manifest cardinality record");
-  }
-  std::map<std::string, std::uint64_t> checksums;
-  if (has_checksums) {
-    std::string name;
-    std::uint64_t sum = 0;
-    while (manifest >> key >> name >> sum) {
-      if (key != "checksum") {
-        return Status::InvalidArgument(dir + ": bad manifest record \"" +
-                                       key + "\"");
-      }
-      checksums[name] = sum;
-    }
-    for (const char* required : {kAvailsName, kRccsName, kModelsName}) {
-      if (checksums.count(required) == 0) {
-        return Status::DataLoss(dir + ": manifest lacks a checksum for " +
-                                required + " — torn or tampered bundle");
-      }
-    }
-  }
+  auto manifest = ReadManifest(dir);
+  if (!manifest.ok()) return manifest.status();
 
   // Schema-compatibility gate: a bundle written under a different feature
   // catalog would misalign model input columns — refuse early and loudly.
-  if (schema_hash != ServingSchemaHash()) {
+  if (manifest->schema_hash != FeatureCatalogVersion()) {
     return Status::FailedPrecondition(
-        dir + ": bundle schema hash " + std::to_string(schema_hash) +
+        dir + ": bundle schema hash " +
+        std::to_string(manifest->schema_hash) +
         " does not match this binary's feature schema " +
-        std::to_string(ServingSchemaHash()));
+        std::to_string(FeatureCatalogVersion()));
   }
 
-  // Read every payload file once, verify its recorded checksum, and parse
-  // from those exact verified bytes. A flipped bit anywhere in the payload
-  // is kDataLoss before any parser runs — a corrupt artifact can never be
+  // Parse from exactly the verified bytes: a corrupt artifact can never be
   // half-loaded into a serving process.
-  std::map<std::string, std::string> payload;
-  for (const char* name : {kAvailsName, kRccsName, kModelsName}) {
-    auto bytes = ReadFileBytes(dir + "/" + name);
-    if (!bytes.ok()) {
-      if (bytes.status().code() == StatusCode::kIoError &&
-          !std::filesystem::exists(dir + "/" + name) && has_checksums) {
-        // The manifest promises this file: its absence is a torn publish,
-        // not a transient I/O failure — retrying cannot help.
-        return Status::DataLoss(dir + "/" + name +
-                                " is missing but listed in the manifest — "
-                                "torn bundle publish");
-      }
-      return bytes.status();
-    }
-    if (has_checksums && FileChecksum(*bytes) != checksums[name]) {
-      return Status::DataLoss(
-          dir + "/" + name + ": checksum mismatch (manifest " +
-          std::to_string(checksums[name]) + ", file " +
-          std::to_string(FileChecksum(*bytes)) +
-          ") — bundle is torn or corrupt");
-    }
-    payload[name] = std::move(*bytes);
-  }
+  auto payloads = ReadVerifiedPayloads(dir, *manifest);
+  if (!payloads.ok()) return payloads.status();
 
   auto bundle = std::shared_ptr<ModelBundle>(new ModelBundle());
-  bundle->version_ = version;
-  bundle->schema_hash_ = schema_hash;
+  bundle->version_ = manifest->version;
+  bundle->schema_hash_ = manifest->schema_hash;
   bundle->directory_ = dir;
 
   Dataset reference;
-  auto avails_doc = CsvDocument::Parse(payload[kAvailsName]);
+  auto avails_doc = CsvDocument::Parse((*payloads)[0]);
   if (!avails_doc.ok()) return avails_doc.status();
   auto avails = AvailTable::FromCsv(*avails_doc);
   if (!avails.ok()) return avails.status();
   reference.avails = std::move(*avails);
-  auto rccs_doc = CsvDocument::Parse(payload[kRccsName]);
+  auto rccs_doc = CsvDocument::Parse((*payloads)[1]);
   if (!rccs_doc.ok()) return rccs_doc.status();
   auto rccs = RccTable::FromCsv(*rccs_doc);
   if (!rccs.ok()) return rccs.status();
   reference.rccs = std::move(*rccs);
 
-  if (reference.avails.size() != num_avails ||
-      reference.rccs.size() != num_rccs) {
+  if (reference.avails.size() != manifest->num_avails ||
+      reference.rccs.size() != manifest->num_rccs) {
     return Status::FailedPrecondition(
         dir + ": reference tables do not match manifest cardinalities");
   }
@@ -386,25 +348,18 @@ StatusOr<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
         std::to_string(report.num_errors) + " errors)");
   }
 
-  // The reference fleet goes behind an in-memory DataStore so every bundle
-  // consumer reads through the same snapshot-isolated cut; the pinned
-  // snapshot keeps the tables address-stable for the estimator and index.
+  // The reference fleet is cut from an in-memory DataStore like every other
+  // pipeline read; the pinned snapshot owns the tables, so the store itself
+  // need not outlive this call.
   auto store = DataStore::Open(std::move(reference));
   if (!store.ok()) return store.status();
-  bundle->store_ = std::move(*store);
-  bundle->snapshot_ = bundle->store_->Snapshot();
+  bundle->snapshot_ = (*store)->Snapshot();
 
-  std::istringstream models_in(payload[kModelsName]);
+  std::istringstream models_in((*payloads)[2]);
   auto estimator = DomdEstimator::LoadModelsFromStream(
       bundle->snapshot_, models_in, parallelism, cache_bytes);
   if (!estimator.ok()) return estimator.status();
   bundle->estimator_ = std::make_unique<DomdEstimator>(std::move(*estimator));
-
-  // Frozen Status-Query indexes over the reference fleet: built once here,
-  // read-only (and thus freely concurrent) for the bundle's lifetime.
-  bundle->query_engine_ = std::make_unique<StatusQueryEngine>(
-      &bundle->snapshot_->data(), IndexBackend::kAvlTree);
-
   return std::shared_ptr<const ModelBundle>(std::move(bundle));
 }
 
@@ -417,27 +372,44 @@ StatusOr<std::shared_ptr<const ModelBundle>> LoadBundleWithRetry(
       });
 }
 
-StatusOr<ServePrediction> ModelBundle::ScoreReferenceAvail(
-    std::int64_t avail_id, double t_star, std::size_t top_k) const {
-  auto result = estimator_->QueryAtLogicalTime(avail_id, t_star, top_k);
-  if (!result.ok()) return result.status();
-
+ServePrediction ModelBundle::FinishPrediction(
+    std::int64_t avail_id, double t_star, const ModelingView& view,
+    std::size_t row, const std::vector<double>& per_step,
+    std::size_t top_k) const {
+  const TimelineModelSet& models = estimator_->models();
+  const std::size_t last = per_step.size() - 1;
   ServePrediction prediction;
   prediction.avail_id = avail_id;
   prediction.t_star = t_star;
-  prediction.estimate_days = result->fused_estimate_days;
-  prediction.num_steps = result->steps.size();
-  prediction.band_low = result->steps.front().estimated_delay_days;
-  prediction.band_high = prediction.band_low;
-  for (const DomdStepEstimate& step : result->steps) {
-    prediction.band_low = std::min(prediction.band_low,
-                                   step.estimated_delay_days);
-    prediction.band_high = std::max(prediction.band_high,
-                                    step.estimated_delay_days);
-  }
-  prediction.top_features = result->steps.back().top_features;
+  prediction.num_steps = per_step.size();
+  prediction.estimate_days = FusePredictions(config().fusion, per_step);
+  prediction.band_low = *std::min_element(per_step.begin(), per_step.end());
+  prediction.band_high = *std::max_element(per_step.begin(), per_step.end());
+  prediction.top_features = TopContributions(
+      models.model(last), models.BuildInputRow(view, row, last),
+      models.input_names(last), top_k);
   prediction.bundle_version = version_;
   return prediction;
+}
+
+StatusOr<ServePrediction> ModelBundle::ScoreReferenceAvail(
+    std::int64_t avail_id, double t_star, std::size_t top_k) const {
+  const ModelingView& view = *estimator_->shared_view();
+  const int row = view.dynamic.RowOf(avail_id);
+  if (row < 0) {
+    return Status::NotFound("avail " + std::to_string(avail_id) +
+                            " is not in the bundle's reference fleet");
+  }
+  const TimelineModelSet& models = estimator_->models();
+  const auto r = static_cast<std::size_t>(row);
+  const std::size_t last = LastStep(grid(), t_star);
+  std::vector<double> per_step;
+  per_step.reserve(last + 1);
+  for (std::size_t step = 0; step <= last; ++step) {
+    per_step.push_back(
+        models.model(step).Predict(models.BuildInputRow(view, r, step)));
+  }
+  return FinishPrediction(avail_id, t_star, view, r, per_step, top_k);
 }
 
 std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
@@ -511,41 +483,24 @@ std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
   const ModelingView view = BuildModelingView(batch_data, engineer, temp_ids,
                                               grid(), parallelism);
 
-  const TimelineModelSet& models = estimator_->models();
   // Batched scoring: one PredictPerStep sweep drives the breadth-first
   // batch scorer over the whole micro-batch per step — bit-identical to
-  // per-row BuildInputRow + Predict traversal. BuildInputRow survives only
-  // for the single attribution input each request still needs.
+  // the per-row BuildInputRow + Predict traversal ScoreReferenceAvail
+  // runs. BuildInputRow survives only for the single attribution input
+  // FinishPrediction builds per request.
   const std::vector<std::vector<double>> per_step_all =
-      models.PredictPerStep(view);
+      estimator_->models().PredictPerStep(view);
   for (std::size_t row = 0; row < valid_slots.size(); ++row) {
     const std::size_t slot = valid_slots[row];
     const ScoreRequest& request = requests[slot];
-
-    int last_step = GridIndexAtOrBefore(grid(), request.t_star);
-    if (last_step < 0) last_step = 0;  // before start: base step only.
-
-    ServePrediction prediction;
-    prediction.avail_id = request.avail.id;
-    prediction.t_star = request.t_star;
-    prediction.bundle_version = version_;
-
+    const std::size_t last = LastStep(grid(), request.t_star);
     std::vector<double> per_step;
-    per_step.reserve(static_cast<std::size_t>(last_step) + 1);
-    for (int step = 0; step <= last_step; ++step) {
-      per_step.push_back(per_step_all[static_cast<std::size_t>(step)][row]);
+    per_step.reserve(last + 1);
+    for (std::size_t step = 0; step <= last; ++step) {
+      per_step.push_back(per_step_all[step][row]);
     }
-    prediction.num_steps = per_step.size();
-    prediction.estimate_days = FusePredictions(config().fusion, per_step);
-    prediction.band_low = *std::min_element(per_step.begin(), per_step.end());
-    prediction.band_high = *std::max_element(per_step.begin(), per_step.end());
-    const auto last = static_cast<std::size_t>(last_step);
-    const std::vector<double> last_input =
-        models.BuildInputRow(view, row, last);
-    prediction.top_features =
-        TopContributions(models.model(last), last_input,
-                         models.input_names(last), request.top_k);
-    out[slot] = std::move(prediction);
+    out[slot] = FinishPrediction(request.avail.id, request.t_star, view, row,
+                                 per_step, request.top_k);
   }
   return out;
 }

@@ -9,7 +9,6 @@
 #include "common/retry.h"
 #include "core/domd_estimator.h"
 #include "ingest/data_store.h"
-#include "query/status_query.h"
 
 namespace domd {
 
@@ -39,31 +38,28 @@ struct ServePrediction {
   std::string bundle_version;  ///< version tag of the scoring bundle.
 };
 
-/// FNV-1a hash over the serving feature schema (static feature names plus
-/// the full dynamic catalog, in column order). A bundle written under one
-/// schema refuses to load under another: model columns would silently
-/// misalign otherwise.
-std::uint64_t ServingSchemaHash();
-
 /// An immutable, versioned serving artifact: the trained `DomdEstimator`
-/// stack (per-step models + pipeline config), the reference fleet it was
-/// trained over, and frozen Status-Query indexes over that fleet. A bundle
-/// is written once by `Write`, loaded whole by `Load`, and never mutated
-/// afterwards — every accessor is const and safe to call from any number
-/// of threads concurrently (shared-immutable, per DESIGN.md §6).
+/// stack (per-step models + pipeline config, with the engineered features
+/// of its reference fleet) and the pinned snapshot of the fleet it was
+/// trained over. A loaded bundle holds exactly what scoring, `data()` and
+/// `data_epoch()` read. A bundle is written once by `Write`, loaded whole by
+/// `Load`, and never mutated afterwards — every accessor is const and safe
+/// to call from any number of threads concurrently (shared-immutable, per
+/// DESIGN.md §6).
 ///
 /// On-disk layout (directory):
-///   MANIFEST    magic, version tag, schema hash, cardinalities, checksums
+///   MANIFEST    "domd_bundle v2", version tag, schema hash
+///               (FeatureCatalogVersion), cardinalities, one FNV-1a
+///               checksum per payload file
 ///   models.txt  TimelineModelSet text serialization (config included)
 ///   avails.csv  reference fleet avail table
 ///   rccs.csv    reference fleet RCC table
 ///
 /// Publication is crash-safe: `Write` stages the bundle in `<dir>.tmp`,
-/// fsyncs every file, records a per-file FNV-1a checksum in the manifest
-/// (format v2), and atomically renames the staging directory into place.
-/// `Load` verifies every checksum before parsing a byte, so a torn or
-/// bit-flipped artifact is rejected as kDataLoss rather than half-served.
-/// Legacy v1 manifests (no checksums) still load, skipping verification.
+/// fsyncs every file and the staging directory, and atomically renames it
+/// into place. `Load` verifies every checksum before parsing a byte, so a
+/// torn or bit-flipped artifact is rejected as kDataLoss rather than
+/// half-served. Any manifest other than a complete v2 one is refused.
 class ModelBundle {
  public:
   /// Writes `estimator` (trained over `data`) as a bundle directory.
@@ -73,13 +69,13 @@ class ModelBundle {
                       const std::string& dir, const std::string& version);
 
   /// Loads a bundle directory: manifest + schema-compatibility check,
-  /// reference tables, model stack (features for the reference fleet come
-  /// from the modeling-view cache, honoring `parallelism` and
-  /// `cache_bytes`), and the frozen Status-Query index build. Returns a
-  /// shared_ptr because serving hot-swaps bundles behind an atomic
-  /// shared_ptr; the pointee is deeply const. Hot-swapping to a bundle
-  /// whose reference tables are content-identical to the live one reuses
-  /// the live view snapshot instead of re-engineering features.
+  /// reference tables and model stack (features for the reference fleet
+  /// come from the modeling-view cache, honoring `parallelism` and
+  /// `cache_bytes`). Returns a shared_ptr because serving hot-swaps
+  /// bundles behind a shared_ptr cell (BundleCell); the pointee is deeply
+  /// const. Hot-swapping to a bundle whose reference tables are
+  /// content-identical to the live one reuses the live view snapshot
+  /// instead of re-engineering features.
   static StatusOr<std::shared_ptr<const ModelBundle>> Load(
       const std::string& dir, const Parallelism& parallelism = {},
       std::size_t cache_bytes = kDefaultViewCacheBytes);
@@ -88,19 +84,13 @@ class ModelBundle {
   std::uint64_t schema_hash() const { return schema_hash_; }
   const std::string& directory() const { return directory_; }
   const Dataset& data() const { return snapshot_->data(); }
-  /// The pinned DataStore cut the bundle serves from. Its epoch is the
-  /// dataset fingerprint of the reference fleet, so `data_epoch()` tells a
-  /// freshness probe exactly which data generation this bundle embeds.
-  const std::shared_ptr<const DataSnapshot>& snapshot() const {
-    return snapshot_;
-  }
+  /// The epoch of the pinned reference-fleet snapshot: its dataset
+  /// fingerprint, so a freshness probe knows exactly which data generation
+  /// this bundle embeds.
   std::uint64_t data_epoch() const { return snapshot_->epoch(); }
   const DomdEstimator& estimator() const { return *estimator_; }
   const PipelineConfig& config() const { return estimator_->config(); }
   const std::vector<double>& grid() const { return estimator_->grid(); }
-  /// Frozen Status-Query engine over the reference fleet (concurrent
-  /// reads only).
-  const StatusQueryEngine& query_engine() const { return *query_engine_; }
 
   /// Scores one avail of the bundle's reference fleet by id.
   StatusOr<ServePrediction> ScoreReferenceAvail(std::int64_t avail_id,
@@ -122,25 +112,32 @@ class ModelBundle {
  private:
   ModelBundle() = default;
 
+  /// The per-row tail both scorers share: fuses the step estimates
+  /// `per_step` (steps 0..per_step.size()-1), takes their min/max band,
+  /// and attributes the last step's input at `row` of `view`.
+  ServePrediction FinishPrediction(std::int64_t avail_id, double t_star,
+                                   const ModelingView& view, std::size_t row,
+                                   const std::vector<double>& per_step,
+                                   std::size_t top_k) const;
+
   std::string version_;
   std::uint64_t schema_hash_ = 0;
   std::string directory_;
-  /// The reference fleet lives behind a DataStore: `snapshot_` pins the
-  /// epoch-stamped cut every accessor serves from (address-stable target of
-  /// the estimator's back-pointer), and the store keeps the bundle on the
-  /// same read path as every other pipeline consumer (DESIGN.md §14).
-  std::unique_ptr<DataStore> store_;
+  /// The epoch-stamped cut of the reference fleet every accessor serves
+  /// from (address-stable target of the estimator's back-pointer). `Load`
+  /// cuts it from a DataStore, so the bundle reads through the same path as
+  /// every other pipeline consumer (DESIGN.md §14).
   std::shared_ptr<const DataSnapshot> snapshot_;
   std::unique_ptr<DomdEstimator> estimator_;
-  std::unique_ptr<StatusQueryEngine> query_engine_;
 };
 
 /// Crash-safe bundle distribution: copies the published bundle at
 /// `src_dir` into `dest_dir` through the same staging protocol as
-/// `ModelBundle::Write` — every file is read (serve.bundle.read), verified
-/// against the manifest checksums, staged durably into `dest_dir.tmp`
-/// (serve.bundle.write), and atomically renamed into place
-/// (serve.bundle.commit). This is the per-shard "stage" step of a
+/// `ModelBundle::Write`. The manifest goes through the same reader as
+/// `Load`, every payload file is read (serve.bundle.read) and verified
+/// against its checksum before anything is written, then all are staged
+/// durably into `dest_dir.tmp` (serve.bundle.write) and atomically renamed
+/// into place (serve.bundle.commit). This is the per-shard "stage" step of a
 /// coordinated cluster rollout: a crash or injected fault mid-copy leaves
 /// the destination untouched, so the shard keeps serving last-known-good.
 Status CopyBundleDurable(const std::string& src_dir,

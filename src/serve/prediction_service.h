@@ -16,56 +16,37 @@
 #include "obs/metrics.h"
 #include "serve/model_bundle.h"
 
-#if defined(__SANITIZE_THREAD__)
-#define DOMD_SERVE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DOMD_SERVE_TSAN 1
-#endif
-#endif
-#ifndef DOMD_SERVE_TSAN
-#define DOMD_SERVE_TSAN 0
-#endif
-
 namespace domd {
 
-/// The hot-swap cell holding the currently published bundle. Production
-/// builds use std::atomic<std::shared_ptr>: lock-free release-publish,
-/// one acquire-snapshot per reader. ThreadSanitizer builds substitute a
-/// mutex-guarded pointer with identical observable semantics, because
-/// libstdc++'s _Sp_atomic synchronizes via a spin-lock bit whose read
-/// path unlocks with memory_order_relaxed — correct per the library's
-/// reasoning, but unprovable to TSan, which reports the internal pointer
-/// access as a race.
+/// The hot-swap cell holding the currently published bundle: a
+/// mutex-guarded shared_ptr. `load` copies the pointer under the lock (one
+/// refcount bump) and `store` replaces it, so a reader always gets one
+/// whole bundle and keeps it alive for as long as it holds the copy. The
+/// critical sections are a pointer copy, never a scoring call. This is the
+/// same cell every build ships, ThreadSanitizer builds included; libstdc++'s
+/// std::atomic<std::shared_ptr> would not be lock-free either
+/// (is_always_lock_free is false with g++ 12).
 class BundleCell {
  public:
   explicit BundleCell(std::shared_ptr<const ModelBundle> bundle)
       : bundle_(std::move(bundle)) {}
 
-#if DOMD_SERVE_TSAN
   std::shared_ptr<const ModelBundle> load() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return bundle_;
   }
   void store(std::shared_ptr<const ModelBundle> bundle) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    bundle_ = std::move(bundle);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      bundle_.swap(bundle);
+    }
+    // `bundle` now holds the replaced one: if that was its last reference,
+    // it is destroyed here, outside the lock.
   }
 
  private:
   mutable std::mutex mutex_;
   std::shared_ptr<const ModelBundle> bundle_;
-#else
-  std::shared_ptr<const ModelBundle> load() const {
-    return bundle_.load(std::memory_order_acquire);
-  }
-  void store(std::shared_ptr<const ModelBundle> bundle) {
-    bundle_.store(std::move(bundle), std::memory_order_release);
-  }
-
- private:
-  std::atomic<std::shared_ptr<const ModelBundle>> bundle_;
-#endif
 };
 
 /// Tuning knobs of the prediction service.
@@ -164,9 +145,9 @@ struct ServeStatsSnapshot {
 /// ModelBundle.
 ///
 /// Concurrency design:
-///  - The bundle lives in a BundleCell (std::atomic<std::shared_ptr<const
-///    ModelBundle>>). `SwapBundle` publishes a new bundle with one atomic
-///    store; the batcher takes one atomic snapshot per micro-batch, so a
+///  - The bundle lives in a BundleCell (a mutex-guarded shared_ptr).
+///    `SwapBundle` publishes a new bundle with one store; the batcher
+///    takes one snapshot (a pointer copy) per micro-batch, so a
 ///    whole batch is always scored against exactly one bundle (no torn
 ///    reads), and in-flight work finishes on the old bundle while new
 ///    batches pick up the new one — zero downtime.
@@ -232,7 +213,7 @@ class PredictionService {
   /// Instantaneous circuit-breaker state.
   BreakerState breaker_state() const;
 
-  /// The currently published bundle (one atomic snapshot).
+  /// The currently published bundle (one BundleCell snapshot).
   std::shared_ptr<const ModelBundle> bundle() const {
     return bundle_.load();
   }

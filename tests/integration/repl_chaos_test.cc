@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cluster/host_map.h"
+#include "common/durable_file.h"
 #include "fault/fault.h"
 #include "ingest/data_store.h"
 #include "ingest/ingest_log.h"

@@ -11,10 +11,12 @@
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "query/status_query.h"
+#include "features/feature_catalog.h"
 #include "serve/serve_test_fixture.h"
 
 namespace domd {
@@ -25,6 +27,41 @@ using testing_internal::MakeDetachedRequest;
 
 bool BitIdentical(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Copies the fixture's v1 bundle to a fresh `name` directory and returns
+/// its path.
+std::string CopyFixtureBundle(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(GetServeFixture().dir_v1, dir,
+                        std::filesystem::copy_options::recursive);
+  return dir;
+}
+
+/// Rewrites the value of the `key` record of the real v2 MANIFEST in `dir`,
+/// leaving every other line (and so every payload checksum) intact.
+void SetManifestRecord(const std::string& dir, const std::string& key,
+                       const std::string& value) {
+  std::istringstream in(ReadFile(dir + "/MANIFEST"));
+  std::string rewritten, line;
+  bool found = false;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + " ", 0) == 0) {
+      line = key + " " + value;
+      found = true;
+    }
+    rewritten += line + "\n";
+  }
+  ASSERT_TRUE(found) << key;
+  std::ofstream out(dir + "/MANIFEST", std::ios::binary | std::ios::trunc);
+  out << rewritten;
 }
 
 TEST(ModelBundleTest, WriteRejectsBadVersionTags) {
@@ -49,7 +86,7 @@ TEST(ModelBundleTest, RoundTripPreservesVersionSchemaAndFleet) {
   const auto& fixture = GetServeFixture();
   EXPECT_EQ(fixture.v1->version(), "v1");
   EXPECT_EQ(fixture.v2->version(), "v2");
-  EXPECT_EQ(fixture.v1->schema_hash(), ServingSchemaHash());
+  EXPECT_EQ(fixture.v1->schema_hash(), FeatureCatalogVersion());
   EXPECT_EQ(fixture.v1->data().avails.size(),
             fixture.pipeline.data.avails.size());
   EXPECT_EQ(fixture.v1->data().rccs.size(),
@@ -58,17 +95,8 @@ TEST(ModelBundleTest, RoundTripPreservesVersionSchemaAndFleet) {
 }
 
 TEST(ModelBundleTest, SchemaHashMismatchRefusedAtLoad) {
-  const auto& fixture = GetServeFixture();
-  const std::string dir = ::testing::TempDir() + "/domd_bundle_badschema";
-  ASSERT_TRUE(ModelBundle::Write(*fixture.estimator_v1, fixture.pipeline.data,
-                                 dir, "v1")
-                  .ok());
-  {
-    std::ofstream manifest(dir + "/MANIFEST");
-    manifest << "domd_bundle v1\nversion v1\nschema_hash 12345\n"
-             << "avails " << fixture.pipeline.data.avails.size() << "\n"
-             << "rccs " << fixture.pipeline.data.rccs.size() << "\n";
-  }
+  const std::string dir = CopyFixtureBundle("domd_bundle_badschema");
+  SetManifestRecord(dir, "schema_hash", "12345");
   auto bundle = ModelBundle::Load(dir);
   EXPECT_EQ(bundle.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -85,16 +113,9 @@ TEST(ModelBundleTest, BadManifestMagicRejected) {
 }
 
 TEST(ModelBundleTest, ManifestCardinalityMismatchRefused) {
-  const auto& fixture = GetServeFixture();
-  const std::string dir = ::testing::TempDir() + "/domd_bundle_badcounts";
-  ASSERT_TRUE(ModelBundle::Write(*fixture.estimator_v1, fixture.pipeline.data,
-                                 dir, "v1")
-                  .ok());
-  {
-    std::ofstream manifest(dir + "/MANIFEST");
-    manifest << "domd_bundle v1\nversion v1\nschema_hash "
-             << ServingSchemaHash() << "\navails 9999\nrccs 1\n";
-  }
+  const std::string dir = CopyFixtureBundle("domd_bundle_badcounts");
+  SetManifestRecord(dir, "avails", "9999");
+  SetManifestRecord(dir, "rccs", "1");
   auto bundle = ModelBundle::Load(dir);
   EXPECT_EQ(bundle.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -167,7 +188,7 @@ TEST(ModelBundleTest, V2ManifestMissingAChecksumLineIsDataLoss) {
     // a v2 bundle without its integrity records is itself torn.
     std::ofstream manifest(dir + "/MANIFEST", std::ios::trunc);
     manifest << "domd_bundle v2\nversion v1\nschema_hash "
-             << ServingSchemaHash() << "\navails "
+             << FeatureCatalogVersion() << "\navails "
              << fixture.pipeline.data.avails.size() << "\nrccs "
              << fixture.pipeline.data.rccs.size() << "\n";
   }
@@ -175,22 +196,39 @@ TEST(ModelBundleTest, V2ManifestMissingAChecksumLineIsDataLoss) {
   EXPECT_EQ(bundle.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(ModelBundleTest, LegacyV1ManifestStillLoadsWithoutChecksums) {
+TEST(ModelBundleTest, V1ManifestIsRejected) {
+  // A v1 manifest carries no checksums, so nothing could verify its
+  // payloads: both readers of a bundle refuse it outright.
   const auto& fixture = GetServeFixture();
-  const std::string dir = ::testing::TempDir() + "/domd_bundle_legacy";
-  std::filesystem::remove_all(dir);
-  std::filesystem::copy(fixture.dir_v1, dir,
-                        std::filesystem::copy_options::recursive);
+  const std::string dir = CopyFixtureBundle("domd_bundle_legacy");
   {
     std::ofstream manifest(dir + "/MANIFEST", std::ios::trunc);
     manifest << "domd_bundle v1\nversion v1\nschema_hash "
-             << ServingSchemaHash() << "\navails "
+             << FeatureCatalogVersion() << "\navails "
              << fixture.pipeline.data.avails.size() << "\nrccs "
              << fixture.pipeline.data.rccs.size() << "\n";
   }
-  auto bundle = ModelBundle::Load(dir);
-  ASSERT_TRUE(bundle.ok()) << bundle.status();
-  EXPECT_EQ((*bundle)->version(), "v1");
+  EXPECT_EQ(ModelBundle::Load(dir).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::string dest = ::testing::TempDir() + "/domd_bundle_legacy_copy";
+  std::filesystem::remove_all(dest);
+  EXPECT_EQ(CopyBundleDurable(dir, dest).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(dest));
+  EXPECT_FALSE(std::filesystem::exists(dest + ".tmp"));
+}
+
+TEST(ModelBundleTest, CopyBundleDurableReproducesEveryByte) {
+  const auto& fixture = GetServeFixture();
+  const std::string dest = ::testing::TempDir() + "/domd_bundle_copy";
+  std::filesystem::remove_all(dest);
+  ASSERT_TRUE(CopyBundleDurable(fixture.dir_v1, dest).ok());
+  for (const char* name : {"MANIFEST", "models.txt", "avails.csv",
+                           "rccs.csv"}) {
+    EXPECT_EQ(ReadFile(dest + "/" + name),
+              ReadFile(fixture.dir_v1 + "/" + name))
+        << name;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dest + ".tmp"));
 }
 
 TEST(ModelBundleTest, RewritingABundleReplacesItAtomically) {
@@ -211,26 +249,45 @@ TEST(ModelBundleTest, RewritingABundleReplacesItAtomically) {
 }
 
 TEST(ModelBundleTest, ReferenceScoreMatchesEstimatorQuery) {
+  // Every reference avail at every grid point, between grid points and
+  // before the start: the bundle's scorer and the estimator's full query
+  // agree bit for bit, attributions included.
   const auto& fixture = GetServeFixture();
-  for (std::int64_t id : fixture.pipeline.split.test) {
-    const auto expected = fixture.estimator_v1->QueryAtLogicalTime(id, 100.0);
-    const auto scored = fixture.v1->ScoreReferenceAvail(id, 100.0);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    ASSERT_TRUE(scored.ok()) << scored.status();
-    EXPECT_TRUE(BitIdentical(scored->estimate_days,
-                             expected->fused_estimate_days));
-    EXPECT_EQ(scored->num_steps, expected->steps.size());
-    EXPECT_EQ(scored->bundle_version, "v1");
-    double low = expected->steps.front().estimated_delay_days;
-    double high = low;
-    for (const DomdStepEstimate& step : expected->steps) {
-      low = std::min(low, step.estimated_delay_days);
-      high = std::max(high, step.estimated_delay_days);
+  std::vector<double> t_stars = fixture.v1->grid();
+  t_stars.push_back(55.0);
+  t_stars.push_back(-5.0);
+  for (const Avail& avail : fixture.pipeline.data.avails.rows()) {
+    for (const double t_star : t_stars) {
+      SCOPED_TRACE("avail " + std::to_string(avail.id) + " t* " +
+                   std::to_string(t_star));
+      const auto expected =
+          fixture.estimator_v1->QueryAtLogicalTime(avail.id, t_star);
+      const auto scored = fixture.v1->ScoreReferenceAvail(avail.id, t_star);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ASSERT_TRUE(scored.ok()) << scored.status();
+      EXPECT_TRUE(BitIdentical(scored->estimate_days,
+                               expected->fused_estimate_days));
+      EXPECT_EQ(scored->num_steps, expected->steps.size());
+      EXPECT_EQ(scored->bundle_version, "v1");
+      double low = expected->steps.front().estimated_delay_days;
+      double high = low;
+      for (const DomdStepEstimate& step : expected->steps) {
+        low = std::min(low, step.estimated_delay_days);
+        high = std::max(high, step.estimated_delay_days);
+      }
+      EXPECT_TRUE(BitIdentical(scored->band_low, low));
+      EXPECT_TRUE(BitIdentical(scored->band_high, high));
+      EXPECT_LE(scored->band_low, scored->estimate_days);
+      EXPECT_GE(scored->band_high, scored->estimate_days);
+      const auto& drivers = expected->steps.back().top_features;
+      ASSERT_EQ(scored->top_features.size(), drivers.size());
+      for (std::size_t k = 0; k < drivers.size(); ++k) {
+        EXPECT_EQ(scored->top_features[k].feature_name,
+                  drivers[k].feature_name);
+        EXPECT_TRUE(BitIdentical(scored->top_features[k].contribution,
+                                 drivers[k].contribution));
+      }
     }
-    EXPECT_TRUE(BitIdentical(scored->band_low, low));
-    EXPECT_TRUE(BitIdentical(scored->band_high, high));
-    EXPECT_LE(scored->band_low, scored->estimate_days);
-    EXPECT_GE(scored->band_high, scored->estimate_days);
   }
 }
 
@@ -337,22 +394,6 @@ TEST(ModelBundleTest, DifferentStacksProduceDifferentEstimates) {
     }
   }
   EXPECT_TRUE(any_different);
-}
-
-TEST(ModelBundleTest, FrozenQueryEngineAnswersStatusQueries) {
-  const auto& fixture = GetServeFixture();
-  StatusQuery query;
-  query.category = RccStatusCategory::kCreated;
-  query.aggregate = AggregateFn::kCount;
-  const auto from_bundle = fixture.v1->query_engine().Execute(query, 100.0);
-  ASSERT_TRUE(from_bundle.ok()) << from_bundle.status();
-
-  const StatusQueryEngine direct(&fixture.pipeline.data,
-                                 IndexBackend::kAvlTree);
-  const auto expected = direct.Execute(query, 100.0);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_DOUBLE_EQ(*from_bundle, *expected);
-  EXPECT_GT(*from_bundle, 0.0);
 }
 
 }  // namespace

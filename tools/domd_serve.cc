@@ -90,6 +90,7 @@
 #include <vector>
 
 #include "cluster/host_map.h"
+#include "common/durable_file.h"
 #include "common/flags.h"
 #include "ingest/data_store.h"
 #include "serve/frontend.h"
