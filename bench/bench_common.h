@@ -97,6 +97,25 @@ inline std::vector<IndexEntry> ScaledScalabilityEntries(int factor) {
   return scaled;
 }
 
+/// The git commit of the working directory, for a BENCH_*.json provenance
+/// stamp: "unknown" outside a git checkout, with "-dirty" appended when
+/// the tree has uncommitted changes.
+inline std::string SourceCommit() {
+  std::string commit;
+  if (FILE* pipe = ::popen("git describe --always --dirty --abbrev=40 "
+                           "2>/dev/null", "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+      commit += buffer;
+    }
+    ::pclose(pipe);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == ' ')) {
+    commit.pop_back();
+  }
+  return commit.empty() ? "unknown" : commit;
+}
+
 /// Prints a header banner for a bench section.
 inline void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

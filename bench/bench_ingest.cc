@@ -1,12 +1,15 @@
 // Streaming-ingestion harness (DESIGN.md §14–15): measures the DataStore's
 // durable append throughput, snapshot latency while the background
-// compaction races the readers, the cost of pinning a clean snapshot, the
-// in-process halves of the replication protocol (quorum-acked append +
-// cold-follower catch-up) — and checks the correctness contracts along
-// the way (every sampled snapshot internally consistent, final epoch ==
-// content fingerprint, nothing pending after the last merge, replicas
-// converged to the primary's exact (seq, chain) position). Results land
-// in BENCH_ingest.json.
+// compaction races the readers, the latency of reading the running epoch
+// beside a writer, the cost of pinning a clean snapshot, the in-process
+// halves of the replication protocol (quorum-acked append + cold-follower
+// catch-up) — and checks the correctness contracts along the way (every
+// sampled snapshot internally consistent, final epoch == content
+// fingerprint, nothing pending after the last merge, replicas converged to
+// the primary's exact (seq, chain) position). The contention stages run
+// over a fixed ~100k-RCC base with a writer at a fixed offered rate, so
+// their latencies do not depend on how fast the machine can write.
+// Results land in BENCH_ingest.json.
 
 #include <unistd.h>
 
@@ -24,6 +27,7 @@
 #include "cache/fingerprint.h"
 #include "ingest/data_store.h"
 #include "ingest/mutation.h"
+#include "common/parallel.h"
 #include "obs/stage.h"
 
 namespace domd {
@@ -34,6 +38,15 @@ constexpr std::size_t kBatchSize = 256;        // one fsync per batch.
 constexpr std::size_t kBatchedAppends = 8192;
 constexpr std::size_t kPinSamples = 200000;
 constexpr auto kContentionWindow = std::chrono::milliseconds(1500);
+// The contention stages' fixed workload: base size, offered write rate
+// (open loop, one batch every kWriteBatch / kOfferedWriteRps seconds) and
+// the pending depth the epoch reader sees.
+constexpr std::size_t kContentionBaseRccs = 100000;
+constexpr double kOfferedWriteRps = 2000.0;
+constexpr std::size_t kWriteBatch = 20;
+constexpr std::size_t kEpochPending = 1000;
+// Bound on the epoch read (what ingest acks and freshness probes pay).
+constexpr double kEpochReadP99BoundUs = 1000.0;
 
 double Percentile(std::vector<double> sorted, double pct) {
   if (sorted.empty()) return 0.0;
@@ -64,6 +77,41 @@ std::int64_t NextRccId(const Dataset& data) {
     if (rcc.id > max_id) max_id = rcc.id;
   }
   return max_id + 1;
+}
+
+/// The fleet's RCCs replicated (fresh ids, same avails) up to at least
+/// `rccs` rows: the fixed base of the contention stages.
+Dataset ScaledBase(const Dataset& fleet, std::size_t rccs) {
+  Dataset base;
+  base.avails = fleet.avails;
+  base.rccs = fleet.rccs.Scale(
+      static_cast<int>((rccs + fleet.rccs.size() - 1) / fleet.rccs.size()));
+  return base;
+}
+
+/// Open-loop writer: appends make_batch(k) for k = 0, 1, ... on a fixed
+/// schedule of kOfferedWriteRps mutations per second until `stop`; a late
+/// batch does not shift the ones after it. Counts appended mutations.
+template <typename MakeBatch>
+std::thread PacedWriter(DataStore* store, const std::atomic<bool>* stop,
+                        std::atomic<bool>* ok,
+                        std::atomic<std::size_t>* appended,
+                        MakeBatch make_batch) {
+  return std::thread([=] {
+    const auto interval = std::chrono::duration<double>(
+        static_cast<double>(kWriteBatch) / kOfferedWriteRps);
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t k = 0; !stop->load(std::memory_order_relaxed); ++k) {
+      std::this_thread::sleep_until(
+          start + std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      interval * static_cast<double>(k)));
+      if (!store->AppendBatch(make_batch(k)).ok()) {
+        ok->store(false);
+        return;
+      }
+      appended->fetch_add(kWriteBatch, std::memory_order_relaxed);
+    }
+  });
 }
 
 int Run() {
@@ -116,7 +164,6 @@ int Run() {
                          : 0.0;
 
   const auto batched = CloneRccs(fleet, next_id, kBatchedAppends);
-  next_id += static_cast<std::int64_t>(kBatchedAppends);
   const auto batch_start = std::chrono::steady_clock::now();
   for (std::size_t offset = 0; offset < batched.size();
        offset += kBatchSize) {
@@ -140,70 +187,127 @@ int Run() {
                   stage_seconds(stage_start, stage_clock()));
   stage_start = stage_clock();
 
-  // ---- Snapshots racing compaction: a writer keeps the tail growing, a
-  // merger keeps compacting it, and the reader measures pin latency
-  // against whichever representation each snapshot happens to catch
-  // (base + tail materialized, or a freshly merged base).
-  std::atomic<bool> stop{false};
+  // ---- Snapshots racing compaction: the paced writer keeps the tail
+  // growing, a merger keeps compacting it, and the reader measures pin
+  // latency against whichever representation each snapshot happens to
+  // catch (base + tail materialized, or a freshly merged base).
+  const Dataset contention_base = ScaledBase(fleet, kContentionBaseRccs);
+  const std::int64_t contention_first_id = NextRccId(contention_base);
   std::atomic<bool> contention_ok{true};
   std::atomic<std::size_t> contention_appends{0};
-  const std::uint64_t merges_before = (*store)->stats().merges;
+  std::uint64_t merges_during = 0;
   std::vector<double> query_us;
-  query_us.reserve(1 << 16);
-
-  std::thread writer([&] {
-    std::int64_t id = next_id;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const auto batch = CloneRccs(fleet, id, 64);
-      id += 64;
-      if (!(*store)->AppendBatch(batch).ok()) {
-        contention_ok.store(false);
-        return;
+  {
+    auto contended = DataStore::Open(contention_base);
+    if (!contended.ok()) return 1;
+    DataStore* target = contended->get();
+    std::atomic<bool> stop{false};
+    std::thread writer = PacedWriter(
+        target, &stop, &contention_ok, &contention_appends,
+        [&](std::size_t k) {
+          return CloneRccs(fleet,
+                           contention_first_id +
+                               static_cast<std::int64_t>(k * kWriteBatch),
+                           kWriteBatch);
+        });
+    std::thread merger([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (!target->Merge().ok()) {
+          contention_ok.store(false);
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
-      contention_appends.fetch_add(64, std::memory_order_relaxed);
-    }
-  });
-  std::thread merger([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!(*store)->Merge().ok()) {
+    });
+    const auto window_start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - window_start <
+           kContentionWindow) {
+      const auto query_start = std::chrono::steady_clock::now();
+      const auto snapshot = target->Snapshot();
+      const auto query_end = std::chrono::steady_clock::now();
+      query_us.push_back(
+          std::chrono::duration<double, std::micro>(query_end - query_start)
+              .count());
+      // Consistency of the pinned cut (checked outside the timed region):
+      // its epoch is the fingerprint of exactly the content it exposes.
+      if (snapshot->epoch() != ComputeDatasetFingerprint(snapshot->data())) {
         contention_ok.store(false);
-        return;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-  });
-  const auto window_start = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() - window_start <
-         kContentionWindow) {
-    const auto query_start = std::chrono::steady_clock::now();
-    const auto snapshot = (*store)->Snapshot();
-    const auto query_end = std::chrono::steady_clock::now();
-    query_us.push_back(
-        std::chrono::duration<double, std::micro>(query_end - query_start)
-            .count());
-    // Consistency of the pinned cut (checked outside the timed region):
-    // its epoch is the fingerprint of exactly the content it exposes.
-    if (snapshot->epoch() != ComputeDatasetFingerprint(snapshot->data())) {
-      contention_ok.store(false);
-    }
+    stop.store(true);
+    writer.join();
+    merger.join();
+    merges_during = target->stats().merges;
   }
-  stop.store(true);
-  writer.join();
-  merger.join();
-  next_id += static_cast<std::int64_t>(contention_appends.load());
 
   std::sort(query_us.begin(), query_us.end());
   const double query_p50 = Percentile(query_us, 50);
   const double query_p99 = Percentile(query_us, 99);
-  const std::uint64_t merges_during = (*store)->stats().merges -
-                                      merges_before;
-  std::printf("query under merge: %zu snapshot pins, p50 %.1f us, "
-              "p99 %.1f us (%zu appends, %llu merges in window)\n",
-              query_us.size(), query_p50, query_p99,
-              contention_appends.load(),
+  std::printf("query under merge: %zu snapshot pins over %zu base RCCs, "
+              "p50 %.1f us, p99 %.1f us (%zu appends offered at %.0f/s, "
+              "%llu merges in window)\n",
+              query_us.size(), contention_base.rccs.size(), query_p50,
+              query_p99, contention_appends.load(), kOfferedWriteRps,
               static_cast<unsigned long long>(merges_during));
   recorder.Record("query_under_merge",
                   stage_seconds(stage_start, stage_clock()));
+  stage_start = stage_clock();
+
+  // ---- Epoch reads beside the writer: what an ingest ack and a freshness
+  // probe pay for the current store epoch. kEpochPending keys are pending
+  // and the paced writer keeps amending them (no merger), so the depth
+  // stays fixed while every batch moves the running digest.
+  std::atomic<bool> epoch_ok{true};
+  std::atomic<std::size_t> epoch_appends{0};
+  std::vector<double> epoch_us;
+  std::size_t epoch_pending = 0;
+  {
+    auto amended = DataStore::Open(contention_base);
+    if (!amended.ok()) return 1;
+    DataStore* target = amended->get();
+    const auto pending_rows =
+        CloneRccs(fleet, contention_first_id, kEpochPending);
+    if (!target->AppendBatch(pending_rows).ok()) epoch_ok.store(false);
+    std::atomic<bool> stop{false};
+    std::thread writer = PacedWriter(
+        target, &stop, &epoch_ok, &epoch_appends, [&](std::size_t k) {
+          std::vector<IngestMutation> batch;
+          for (std::size_t i = 0; i < kWriteBatch; ++i) {
+            IngestMutation mutation =
+                pending_rows[(k * kWriteBatch + i) % kEpochPending];
+            mutation.rcc.settled_amount += static_cast<double>(k + 1);
+            batch.push_back(std::move(mutation));
+          }
+          return batch;
+        });
+    const auto window_start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - window_start <
+           kContentionWindow) {
+      const auto read_start = std::chrono::steady_clock::now();
+      (void)target->epoch();
+      const auto read_end = std::chrono::steady_clock::now();
+      epoch_us.push_back(
+          std::chrono::duration<double, std::micro>(read_end - read_start)
+              .count());
+      // A probe cadence, not a spin: reads interleave with the writer.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    stop.store(true);
+    writer.join();
+    epoch_pending = target->pending_mutations();
+    if (target->epoch() !=
+        ComputeDatasetFingerprint(target->Snapshot()->data())) {
+      epoch_ok.store(false);
+    }
+  }
+  std::sort(epoch_us.begin(), epoch_us.end());
+  const double epoch_p50 = Percentile(epoch_us, 50);
+  const double epoch_p99 = Percentile(epoch_us, 99);
+  std::printf("epoch read: %zu reads at %zu pending over %zu base RCCs, "
+              "p50 %.2f us, p99 %.2f us (%zu amends offered at %.0f/s)\n",
+              epoch_us.size(), epoch_pending, contention_base.rccs.size(),
+              epoch_p50, epoch_p99, epoch_appends.load(), kOfferedWriteRps);
+  recorder.Record("epoch_read", stage_seconds(stage_start, stage_clock()));
   stage_start = stage_clock();
 
   // ---- Snapshot-pin overhead: on a clean store, pinning must be a cached
@@ -352,9 +456,8 @@ int Run() {
 
   // ---- Final accounting: everything merged, epoch == content.
   const auto final_snapshot = (*store)->Snapshot();
-  const std::size_t expected_rccs = fleet.rccs.size() + kSingleAppends +
-                                    kBatchedAppends +
-                                    contention_appends.load();
+  const std::size_t expected_rccs =
+      fleet.rccs.size() + kSingleAppends + kBatchedAppends;
   const bool accounting_ok =
       (*store)->pending_mutations() == 0 &&
       final_snapshot->data().rccs.size() == expected_rccs &&
@@ -369,13 +472,20 @@ int Run() {
   recorder.Record("final_accounting",
                   stage_seconds(stage_start, stage_clock()));
 
+  const bool epoch_read_ok = epoch_ok.load() && !epoch_us.empty() &&
+                             epoch_pending == kEpochPending &&
+                             epoch_p99 < kEpochReadP99BoundUs;
   const bool pass = append_ok && contention_ok.load() && accounting_ok &&
                     merges_during >= 1 && !query_us.empty() &&
+                    epoch_read_ok &&
                     batch_rps > 1000.0 && pin_ns < 10000.0 && repl_ok &&
                     quorum_rps > 200.0 && catchup_ms < 10000.0;
 
   std::ofstream json("BENCH_ingest.json");
   json << "{\n  \"bench\": \"ingest\",\n";
+  json << "  \"commit\": \"" << bench::SourceCommit() << "\",\n";
+  json << "  \"hardware_threads\": " << Parallelism::HardwareThreads()
+       << ",\n";
   json << "  \"fleet\": {\"num_avails\": " << fleet.avails.size()
        << ", \"num_rccs\": " << fleet.rccs.size() << "},\n";
   json << "  \"append\": {\"single_fsync_rps\": " << single_rps
@@ -384,10 +494,21 @@ int Run() {
        << ", \"total_appended\": " << stats.appended
        << ", \"ok\": " << (append_ok ? "true" : "false") << "},\n";
   json << "  \"query_under_merge\": {\"queries\": " << query_us.size()
+       << ", \"base_rccs\": " << contention_base.rccs.size()
+       << ", \"offered_write_rps\": " << kOfferedWriteRps
        << ", \"p50_us\": " << query_p50 << ", \"p99_us\": " << query_p99
        << ", \"appends_in_window\": " << contention_appends.load()
        << ", \"merges_in_window\": " << merges_during
        << ", \"consistent\": " << (contention_ok.load() ? "true" : "false")
+       << "},\n";
+  json << "  \"epoch_read\": {\"reads\": " << epoch_us.size()
+       << ", \"base_rccs\": " << contention_base.rccs.size()
+       << ", \"pending\": " << epoch_pending
+       << ", \"offered_write_rps\": " << kOfferedWriteRps
+       << ", \"p50_us\": " << epoch_p50 << ", \"p99_us\": " << epoch_p99
+       << ", \"p99_bound_us\": " << kEpochReadP99BoundUs
+       << ", \"amends_in_window\": " << epoch_appends.load()
+       << ", \"consistent\": " << (epoch_ok.load() ? "true" : "false")
        << "},\n";
   json << "  \"snapshot_pin\": {\"samples\": " << kPinSamples
        << ", \"ns_per_pin\": " << pin_ns << "},\n";

@@ -6,56 +6,36 @@
 namespace domd {
 namespace {
 
-std::uint64_t MixDouble(std::uint64_t hash, double value) {
+// Multipliers of the word absorb (the xxHash64 primes; any odd constants
+// keep it bijective).
+constexpr std::uint64_t kAbsorbIn = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kAbsorbOut = 0xC2B2AE3D27D4EB4Full;
+// Separates the avail and RCC position seeds, and seeds Finish.
+constexpr std::uint64_t kAvailSeed = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kRccSeed = 0x27D4EB2F165667C5ull;
+constexpr std::uint64_t kFinishSeed = 0x85EBCA77C2B2AE63ull;
+
+/// Folds one word into a row hash. It is a bijection in either argument
+/// while the other is fixed, so two rows that differ in exactly one field
+/// never collide before the final (also bijective) avalanche.
+constexpr std::uint64_t Absorb(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc ^ (word * kAbsorbIn), 31) * kAbsorbOut;
+}
+
+std::uint64_t Word(double value) {
   // Bit-exact: +0.0 and -0.0 hash differently, which is fine — the tables
   // never distinguish them semantically but bit-identity is the contract.
-  return FingerprintMix(hash, std::bit_cast<std::uint64_t>(value));
+  return std::bit_cast<std::uint64_t>(value);
 }
 
-std::uint64_t MixOptionalDate(std::uint64_t hash,
-                              const std::optional<Date>& date) {
-  hash = FingerprintMix(hash, date.has_value() ? 1 : 0);
-  return FingerprintMix(
-      hash, date.has_value() ? static_cast<std::uint64_t>(date->serial()) : 0);
+std::uint64_t Word(const Date& date) {
+  return static_cast<std::uint64_t>(date.serial());
 }
 
-std::uint64_t MixAvail(std::uint64_t hash, const Avail& avail) {
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.id));
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.ship_id));
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.status));
-  hash = FingerprintMix(
-      hash, static_cast<std::uint64_t>(avail.planned_start.serial()));
-  hash = FingerprintMix(
-      hash, static_cast<std::uint64_t>(avail.planned_end.serial()));
-  hash = FingerprintMix(
-      hash, static_cast<std::uint64_t>(avail.actual_start.serial()));
-  hash = MixOptionalDate(hash, avail.actual_end);
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.ship_class));
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.rmc_id));
-  hash = MixDouble(hash, avail.ship_age_years);
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.avail_type));
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.homeport));
-  hash = FingerprintMix(hash,
-                        static_cast<std::uint64_t>(avail.prior_avail_count));
-  hash = MixDouble(hash, avail.contract_value_musd);
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(avail.crew_size));
-  return hash;
-}
-
-std::uint64_t MixRcc(std::uint64_t hash, const Rcc& rcc) {
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(rcc.id));
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(rcc.avail_id));
-  hash = FingerprintMix(hash, static_cast<std::uint64_t>(rcc.type));
-  std::uint64_t swlin = 0;
-  for (int d = 0; d < Swlin::kNumDigits; ++d) {
-    swlin = swlin * 10 + static_cast<std::uint64_t>(rcc.swlin.digit(d));
-  }
-  hash = FingerprintMix(hash, swlin);
-  hash = FingerprintMix(
-      hash, static_cast<std::uint64_t>(rcc.creation_date.serial()));
-  hash = MixOptionalDate(hash, rcc.settled_date);
-  hash = MixDouble(hash, rcc.settled_amount);
-  return hash;
+std::uint64_t AbsorbOptionalDate(std::uint64_t acc,
+                                 const std::optional<Date>& date) {
+  acc = Absorb(acc, date.has_value() ? 1 : 0);
+  return Absorb(acc, date.has_value() ? Word(*date) : 0);
 }
 
 /// One memo slot: the dataset's address plus cheap revalidation probes.
@@ -107,13 +87,66 @@ std::uint64_t FingerprintMix(std::uint64_t hash, std::uint64_t word) {
   return hash;
 }
 
+std::uint64_t DatasetDigest::Finish() const {
+  std::uint64_t acc = Absorb(kFinishSeed, num_avails);
+  acc = Absorb(acc, avail_sum);
+  acc = Absorb(acc, num_rccs);
+  return Mix64(Absorb(acc, rcc_sum));
+}
+
+std::uint64_t AvailRowHash(std::uint64_t position, const Avail& avail) {
+  std::uint64_t acc = position * kAbsorbOut + kAvailSeed;
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.id));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.ship_id));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.status));
+  acc = Absorb(acc, Word(avail.planned_start));
+  acc = Absorb(acc, Word(avail.planned_end));
+  acc = Absorb(acc, Word(avail.actual_start));
+  acc = AbsorbOptionalDate(acc, avail.actual_end);
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.ship_class));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.rmc_id));
+  acc = Absorb(acc, Word(avail.ship_age_years));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.avail_type));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.homeport));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.prior_avail_count));
+  acc = Absorb(acc, Word(avail.contract_value_musd));
+  acc = Absorb(acc, static_cast<std::uint64_t>(avail.crew_size));
+  return Mix64(acc);
+}
+
+std::uint64_t RccRowHash(std::uint64_t position, const Rcc& rcc) {
+  std::uint64_t acc = position * kAbsorbOut + kRccSeed;
+  acc = Absorb(acc, static_cast<std::uint64_t>(rcc.id));
+  acc = Absorb(acc, static_cast<std::uint64_t>(rcc.avail_id));
+  acc = Absorb(acc, static_cast<std::uint64_t>(rcc.type));
+  std::uint64_t swlin = 0;
+  for (int d = 0; d < Swlin::kNumDigits; ++d) {
+    swlin = swlin * 10 + static_cast<std::uint64_t>(rcc.swlin.digit(d));
+  }
+  acc = Absorb(acc, swlin);
+  acc = Absorb(acc, Word(rcc.creation_date));
+  acc = AbsorbOptionalDate(acc, rcc.settled_date);
+  acc = Absorb(acc, Word(rcc.settled_amount));
+  return Mix64(acc);
+}
+
+DatasetDigest DigestDataset(const Dataset& data) {
+  DatasetDigest digest;
+  const std::vector<Avail>& avails = data.avails.rows();
+  digest.num_avails = avails.size();
+  for (std::size_t i = 0; i < avails.size(); ++i) {
+    digest.avail_sum += AvailRowHash(i, avails[i]);
+  }
+  const std::vector<Rcc>& rccs = data.rccs.rows();
+  digest.num_rccs = rccs.size();
+  for (std::size_t i = 0; i < rccs.size(); ++i) {
+    digest.rcc_sum += RccRowHash(i, rccs[i]);
+  }
+  return digest;
+}
+
 std::uint64_t ComputeDatasetFingerprint(const Dataset& data) {
-  std::uint64_t hash = kFingerprintSeed;
-  hash = FingerprintMix(hash, data.avails.size());
-  for (const Avail& avail : data.avails.rows()) hash = MixAvail(hash, avail);
-  hash = FingerprintMix(hash, data.rccs.size());
-  for (const Rcc& rcc : data.rccs.rows()) hash = MixRcc(hash, rcc);
-  return hash;
+  return DigestDataset(data).Finish();
 }
 
 std::uint64_t DatasetFingerprint(const Dataset& data) {

@@ -24,6 +24,15 @@ constexpr std::uint64_t Fnv1a64(std::string_view bytes,
   return hash;
 }
 
+/// The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014): a
+/// bijective 64-bit avalanche. Seeds the Rng streams and finishes every
+/// dataset-fingerprint row hash.
+constexpr std::uint64_t Mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 }  // namespace domd
 
 #endif  // DOMD_COMMON_HASH_H_

@@ -6,6 +6,8 @@
 #include <numbers>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace domd {
 
 /// Deterministic, seedable pseudo-random generator (xoshiro256** seeded via
@@ -22,10 +24,7 @@ class Rng {
   /// because the stream index (not the executing thread) selects the
   /// stream, task i draws the same sequence however work is scheduled.
   static Rng ForStream(std::uint64_t seed, std::uint64_t stream) {
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return Rng(z ^ (z >> 31));
+    return Rng(Mix64(seed + 0x9E3779B97F4A7C15ull * (stream + 1)));
   }
 
   /// Re-seeds the generator deterministically from a single 64-bit value.
@@ -33,10 +32,7 @@ class Rng {
     // SplitMix64 expansion of the seed into the 256-bit state.
     for (auto& word : state_) {
       seed += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      word = z ^ (z >> 31);
+      word = Mix64(seed);
     }
     has_cached_gaussian_ = false;
   }

@@ -12,6 +12,15 @@
 namespace domd {
 namespace {
 
+/// Publishes a freshly built dataset. Its address may be a recycled one
+/// that the fingerprint memo still holds, with matching probes, for a
+/// freed dataset; dropping that entry keeps DatasetFingerprint (the
+/// ViewCache key) from resurrecting the old content's views.
+std::shared_ptr<const Dataset> Publish(std::shared_ptr<Dataset> data) {
+  InvalidateFingerprint(*data);
+  return data;
+}
+
 /// Applies mutations in their original append (= sequence) order on top
 /// of a copy of the base. Sequence order — not any key order — is
 /// load-bearing for replication (DESIGN.md §15): applying a history
@@ -32,26 +41,45 @@ std::shared_ptr<const Dataset> Materialize(
       (void)merged->rccs.Upsert(mutation.rcc);
     }
   }
-  return merged;
+  return Publish(std::move(merged));
+}
+
+/// Folds one upsert into a running digest half (`rows`, `sum`).
+/// `pending` remembers, per id, the row position Materialize gives it and
+/// the hash it contributes there, so the sum swaps the replaced row's hash
+/// for the new one's. An id seen for the first time takes its base row's
+/// position and hash or, if new, the next position past the table's end,
+/// where it contributed nothing before.
+template <typename Table, typename Row, typename PendingRows>
+void DigestUpsert(const Table& base, const Row& row,
+                  std::uint64_t (*row_hash)(std::uint64_t, const Row&),
+                  PendingRows* pending, std::uint64_t* rows,
+                  std::uint64_t* sum) {
+  auto [it, first] = pending->try_emplace(row.id);
+  auto& slot = it->second;
+  if (first) {
+    const auto found = base.Find(row.id);
+    if (found.ok()) {
+      slot.position =
+          static_cast<std::uint64_t>(*found - base.rows().data());
+      slot.hash = row_hash(slot.position, **found);
+    } else {
+      slot.position = (*rows)++;
+    }
+  }
+  const std::uint64_t hash = row_hash(slot.position, row);
+  *sum += hash - slot.hash;
+  slot.hash = hash;
 }
 
 }  // namespace
-
-std::uint64_t DataStore::EpochOf(const Dataset& data) {
-  // Dropping the address-keyed memo entry first is load-bearing: an
-  // in-place amend can preserve the memo's cheap probes (cardinalities +
-  // boundary ids), and only this invalidation guarantees the epoch — and
-  // with it every ViewCache key — reflects the amended content.
-  InvalidateFingerprint(data);
-  return DatasetFingerprint(data);
-}
 
 StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
     Dataset base, DataStoreOptions options) {
   auto store = std::unique_ptr<DataStore>(new DataStore());
   store->options_ = std::move(options);
-  store->base_ = std::make_shared<const Dataset>(std::move(base));
-  store->base_epoch_ = EpochOf(*store->base_);
+  auto data = Publish(std::make_shared<Dataset>(std::move(base)));
+  const DatasetDigest digest = DigestDataset(*data);
   if (!store->options_.log_path.empty()) {
     IngestLog::ReplayResult replay;
     auto log = IngestLog::Open(store->options_.log_path, &replay);
@@ -65,12 +93,12 @@ StatusOr<std::unique_ptr<DataStore>> DataStore::Open(
       store->last_chain_ =
           MutationChain(store->last_chain_, EncodeMutation(mutation));
       ++store->last_seq_;
-      store->NotePendingLocked(mutation);
       store->tail_.push_back({std::move(mutation), store->last_chain_});
     }
     store->replayed_ = replay.records.size();
     if (store->replayed_ > 0) store->generation_ = 1;
   }
+  store->RebaseLocked(std::move(data), digest, 0);
   if (store->options_.merge_threshold > 0) {
     store->merger_ = std::thread([s = store.get()] { s->MergerLoop(); });
   }
@@ -116,10 +144,28 @@ std::size_t DataStore::PendingLocked() const {
 }
 
 void DataStore::NotePendingLocked(const IngestMutation& mutation) {
+  // Materialize skips a record its table rejects; so does the digest.
+  // Appends are validated before they get here, so only a replayed log
+  // record can be skipped.
+  if (!ValidateMutation(mutation).ok()) return;
   if (mutation.kind == MutationKind::kAvailUpsert) {
-    pending_avails_.insert(mutation.avail.id);
+    DigestUpsert(base_->avails, mutation.avail, &AvailRowHash,
+                 &pending_avails_, &digest_.num_avails, &digest_.avail_sum);
   } else {
-    pending_rccs_.insert(mutation.rcc.id);
+    DigestUpsert(base_->rccs, mutation.rcc, &RccRowHash, &pending_rccs_,
+                 &digest_.num_rccs, &digest_.rcc_sum);
+  }
+}
+
+void DataStore::RebaseLocked(std::shared_ptr<const Dataset> base,
+                             const DatasetDigest& digest, std::size_t from) {
+  base_ = std::move(base);
+  digest_ = digest;
+  base_epoch_ = digest.Finish();
+  pending_avails_.clear();
+  pending_rccs_.clear();
+  for (std::size_t i = from; i < tail_.size(); ++i) {
+    NotePendingLocked(tail_[i].mutation);
   }
 }
 
@@ -161,7 +207,7 @@ Status DataStore::Append(const IngestMutation& mutation) {
 }
 
 Status DataStore::AppendBatch(const std::vector<IngestMutation>& mutations,
-                              std::uint64_t* last_seq) {
+                              std::uint64_t* last_seq, std::uint64_t* epoch) {
   // Validation, log write, and tail apply all happen under append_mu_
   // (mu_ is taken inside it, matching Merge's rotation block): referential
   // checks and visibility use one consistent cut, so an RCC referencing an
@@ -169,10 +215,9 @@ Status DataStore::AppendBatch(const std::vector<IngestMutation>& mutations,
   // rejected by a validate-then-apply race.
   std::lock_guard<std::mutex> append_lock(append_mu_);
   if (mutations.empty()) {
-    if (last_seq != nullptr) {
-      std::lock_guard<std::mutex> lock(mu_);
-      *last_seq = last_seq_;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (last_seq != nullptr) *last_seq = last_seq_;
+    if (epoch != nullptr) *epoch = digest_.Finish();
     return Status::OK();
   }
   {
@@ -187,6 +232,7 @@ Status DataStore::AppendBatch(const std::vector<IngestMutation>& mutations,
     AbsorbBatchLocked(mutations);
     appended_ += mutations.size();
     if (last_seq != nullptr) *last_seq = last_seq_;
+    if (epoch != nullptr) *epoch = digest_.Finish();
   }
   return Status::OK();
 }
@@ -334,8 +380,8 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
       DOMD_RETURN_IF_ERROR(data.rccs.Upsert(row.rcc));
     }
   }
-  auto merged = std::make_shared<const Dataset>(std::move(data));
-  const std::uint64_t new_epoch = EpochOf(*merged);
+  auto merged = Publish(std::make_shared<Dataset>(std::move(data)));
+  const DatasetDigest digest = DigestDataset(*merged);
 
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
   std::lock_guard<std::mutex> append_lock(append_mu_);
@@ -351,11 +397,8 @@ Status DataStore::InstallSnapshot(const std::vector<IngestMutation>& rows,
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    base_ = std::move(merged);
-    base_epoch_ = new_epoch;
-    pending_avails_.clear();
-    pending_rccs_.clear();
     tail_.clear();
+    RebaseLocked(std::move(merged), digest, 0);
     tail_base_seq_ = last_seq;
     tail_base_chain_ = chain;
     last_seq_ = last_seq;
@@ -381,7 +424,7 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
   std::vector<IngestMutation> tail;
   std::size_t depth = 0;
   std::uint64_t generation = 0;
-  std::uint64_t base_epoch = 0;
+  std::uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (cached_snapshot_ != nullptr && cached_generation_ == generation_) {
@@ -389,7 +432,8 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
     }
     generation = generation_;
     base = base_;
-    base_epoch = base_epoch_;
+    // The running digest describes exactly base + the tail copied below.
+    epoch = digest_.Finish();
     depth = PendingLocked();
     if (depth > 0) {
       // The tail can reach below the pending cut (an un-rotated log keeps
@@ -400,18 +444,12 @@ std::shared_ptr<const DataSnapshot> DataStore::Snapshot() const {
     }
   }
 
+  // Materialization happens outside the lock: appends keep landing in the
+  // tail while this cut is assembled.
   auto snapshot = std::shared_ptr<DataSnapshot>(new DataSnapshot());
+  snapshot->epoch_ = epoch;
   snapshot->delta_depth_ = depth;
-  if (depth == 0) {
-    snapshot->data_ = base;
-    snapshot->epoch_ = base_epoch;
-  } else {
-    // Materialization happens outside the lock: appends keep landing in
-    // the tail while this cut is assembled.
-    auto merged = Materialize(*base, tail);
-    snapshot->epoch_ = EpochOf(*merged);
-    snapshot->data_ = std::move(merged);
-  }
+  snapshot->data_ = depth == 0 ? std::move(base) : Materialize(*base, tail);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (generation_ == generation) {
@@ -429,11 +467,14 @@ StatusOr<MergeStats> DataStore::Merge() {
   std::shared_ptr<const Dataset> base;
   std::vector<IngestMutation> cut;
   std::uint64_t cut_seq = 0;
+  DatasetDigest cut_digest;
   MergeStats stats;
   {
     std::lock_guard<std::mutex> lock(mu_);
     base = base_;
     cut_seq = last_seq_;
+    // The running digest at the cut is the merged base's digest.
+    cut_digest = digest_;
     // The merge input is the append-order tail: sequence order keeps the
     // merged row order — and with it the epoch — a pure function of
     // history, independent of where this replica's merge cuts happen to
@@ -446,10 +487,8 @@ StatusOr<MergeStats> DataStore::Merge() {
   }
   if (stats.merged_mutations == 0) return stats;
 
-  // The expensive half runs without any store lock: copy + apply + epoch
-  // fingerprint over the merged tables.
+  // The expensive half runs without any store lock: copy + apply.
   auto merged = Materialize(*base, cut);
-  const std::uint64_t new_epoch = EpochOf(*merged);
 
   const Status fault = DOMD_FAULT_POINT("ingest.merge.commit").Check();
   if (!fault.ok()) {
@@ -477,8 +516,6 @@ StatusOr<MergeStats> DataStore::Merge() {
   const bool will_rotate = stats.persisted && log_ != nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    base_ = std::move(merged);
-    base_epoch_ = new_epoch;
     if (log_ == nullptr || will_rotate) {
       // The new base embodies the tail through cut_seq — drop that
       // prefix, advancing the tail base (and its chain anchor) to the
@@ -493,12 +530,10 @@ StatusOr<MergeStats> DataStore::Merge() {
     }
     // Only keys mutated after the cut stay pending: an avail appended
     // while this merge ran must stay visible to referential validation.
-    pending_avails_.clear();
-    pending_rccs_.clear();
-    for (std::size_t i = static_cast<std::size_t>(cut_seq - tail_base_seq_);
-         i < tail_.size(); ++i) {
-      NotePendingLocked(tail_[i].mutation);
-    }
+    // Re-applying them to the cut's digest lands on the same epoch: the
+    // content did not change, only its representation.
+    RebaseLocked(std::move(merged), cut_digest,
+                 static_cast<std::size_t>(cut_seq - tail_base_seq_));
     ++generation_;
     ++merges_;
     merge_cv_.notify_all();
@@ -528,13 +563,13 @@ StatusOr<MergeStats> DataStore::Merge() {
     DOMD_RETURN_IF_ERROR(log_->Rotate(still_pending, base_seq, base_chain));
   }
 
-  stats.new_epoch = new_epoch;
+  stats.new_epoch = cut_digest.Finish();
   return stats;
 }
 
 std::uint64_t DataStore::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return base_epoch_;
+  return digest_.Finish();
 }
 
 std::uint64_t DataStore::last_seq() const {
@@ -558,19 +593,22 @@ std::size_t DataStore::pending_mutations() const {
   return PendingLocked();
 }
 
-IngestStats DataStore::stats() const {
+IngestStats DataStore::counters() const {
   IngestStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.appended = appended_;
-    out.replayed = replayed_;
-    out.replicated = replicated_;
-    out.merges = merges_;
-    out.merge_failures = merge_failures_;
-    out.pending = PendingLocked();
-    out.epoch = base_epoch_;
-    out.last_seq = last_seq_;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  out.appended = appended_;
+  out.replayed = replayed_;
+  out.replicated = replicated_;
+  out.merges = merges_;
+  out.merge_failures = merge_failures_;
+  out.pending = PendingLocked();
+  out.epoch = digest_.Finish();
+  out.last_seq = last_seq_;
+  return out;
+}
+
+IngestStats DataStore::stats() const {
+  IngestStats out = counters();
   if (log_ != nullptr) {
     std::lock_guard<std::mutex> append_lock(append_mu_);
     out.log_bytes = log_->size_bytes();

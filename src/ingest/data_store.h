@@ -8,9 +8,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
+#include "cache/fingerprint.h"
 #include "common/status.h"
 #include "data/tables.h"
 #include "ingest/ingest_log.h"
@@ -53,7 +54,7 @@ struct IngestStats {
   std::uint64_t merges = 0;     ///< successful merges.
   std::uint64_t merge_failures = 0;
   std::size_t pending = 0;      ///< mutations not yet merged into base.
-  std::uint64_t epoch = 0;      ///< current base epoch.
+  std::uint64_t epoch = 0;      ///< current content epoch (see epoch()).
   std::size_t log_bytes = 0;
   std::uint64_t last_seq = 0;   ///< sequence of the last applied mutation.
 };
@@ -79,9 +80,10 @@ struct ReplTail {
 /// An immutable, epoch-stamped view of the store: the avail/RCC tables at
 /// one consistent cut (the shared base when clean, base + tail
 /// materialized when dirty). The epoch *is* the dataset fingerprint of
-/// the exposed tables, so every downstream cache keyed on
-/// DatasetFingerprint invalidates exactly when the data changes and stays
-/// warm when it does not.
+/// the exposed tables (ComputeDatasetFingerprint(data()) == epoch()), so
+/// every downstream cache keyed on DatasetFingerprint invalidates exactly
+/// when the data changes and stays warm when it does not. The store
+/// stamps it from its running digest; materializing never re-hashes.
 ///
 /// Snapshots pin their state: merges and appends after the pin never
 /// mutate what a live snapshot sees. Deeply const and safe to share
@@ -145,9 +147,10 @@ class DataStore {
   /// Batch variant: all-or-nothing validation, one log fsync. On success
   /// `*last_seq` (optional) receives the sequence number assigned to the
   /// batch's final mutation (the batch occupies a contiguous run ending
-  /// there).
+  /// there), and `*epoch` (optional) the content epoch at that sequence.
   Status AppendBatch(const std::vector<IngestMutation>& mutations,
-                     std::uint64_t* last_seq = nullptr);
+                     std::uint64_t* last_seq = nullptr,
+                     std::uint64_t* epoch = nullptr);
 
   /// Follower-side sequenced apply (DESIGN.md §15): applies the batch
   /// whose first record carries sequence `first_seq`, deduplicating any
@@ -181,14 +184,16 @@ class DataStore {
   Status InstallSnapshot(const std::vector<IngestMutation>& rows,
                          std::uint64_t last_seq, std::uint64_t chain);
 
-  /// Compacts base + tail into a fresh immutable base, bumps the epoch to
-  /// the new fingerprint and — when a persist_dir is configured — durably
-  /// rewrites the base CSVs and rotates the log. Guarded by the
+  /// Compacts base + tail into a fresh immutable base and — when a
+  /// persist_dir is configured — durably rewrites the base CSVs and
+  /// rotates the log. The content, and with it epoch(), is unchanged; the
+  /// new base's epoch is the one captured with the cut. Guarded by the
   /// ingest.merge.commit fault point: a failed merge leaves the base, the
   /// log and every pinned snapshot intact.
   StatusOr<MergeStats> Merge();
 
-  /// Current base epoch (cheap; no materialization).
+  /// The epoch Snapshot() would stamp now: the fingerprint of base +
+  /// tail, read from the running digest in O(1) (no materialization).
   std::uint64_t epoch() const;
 
   /// Sequence of the last applied mutation (0 before any mutation).
@@ -203,14 +208,13 @@ class DataStore {
   /// Distinct (kind, id) keys mutated since the last merge cut.
   std::size_t pending_mutations() const;
 
+  /// Every counter, log_bytes included. Reading the log size waits on
+  /// append_mu_, which an append holds across its log fsync.
   IngestStats stats() const;
+  /// stats() without log_bytes, read in one mu_ section that never waits
+  /// behind a log fsync: what an event-loop thread may call.
+  IngestStats counters() const;
   const DataStoreOptions& options() const { return options_; }
-
-  /// The canonical epoch of a dataset: drops any stale address-keyed
-  /// fingerprint memo entry first, then fingerprints the content. Every
-  /// epoch bump goes through here, which is what makes an in-place amend
-  /// unable to resurrect a stale cached view (the ViewCache regression).
-  static std::uint64_t EpochOf(const Dataset& data);
 
  private:
   /// One applied-but-possibly-unmerged mutation retained for replication:
@@ -223,11 +227,26 @@ class DataStore {
 
   DataStore() = default;
 
+  /// Where a pending key's current row sits in the materialized tables,
+  /// and the row hash it contributes to digest_ there.
+  struct PendingRow {
+    std::uint64_t position = 0;
+    std::uint64_t hash = 0;
+  };
+  using PendingRows = std::unordered_map<std::int64_t, PendingRow>;
+
   /// True if the avail id is visible in the base or the pending tail.
   bool HasAvailLocked(std::int64_t avail_id) const;
   std::size_t PendingLocked() const;
-  /// Records one tail mutation in the pending key sets (mu_ held).
+  /// Applies one tail mutation to the pending keys and the running digest
+  /// (mu_ held): the one path for appends, replicated applies, log replay
+  /// and the post-merge rebuild. O(1) per mutation.
   void NotePendingLocked(const IngestMutation& mutation);
+  /// Resets the pending keys and digest_ to a new base whose digest is
+  /// `digest`, then re-applies the tail records from index `from` (mu_
+  /// held).
+  void RebaseLocked(std::shared_ptr<const Dataset> base,
+                    const DatasetDigest& digest, std::size_t from);
   /// Referential validation of a batch against the current cut (mu_ held).
   Status ValidateBatchLocked(
       const std::vector<IngestMutation>& mutations) const;
@@ -247,8 +266,10 @@ class DataStore {
   std::uint64_t base_epoch_ = 0;
   /// Ids upserted since the last merge cut, per kind: what HasAvailLocked
   /// consults beyond the base and what the pending count counts.
-  std::unordered_set<std::int64_t> pending_avails_;
-  std::unordered_set<std::int64_t> pending_rccs_;
+  PendingRows pending_avails_;
+  PendingRows pending_rccs_;
+  /// Running digest of base + tail: the epoch is digest_.Finish().
+  DatasetDigest digest_;
   /// Append-order mirror of the log's record range (tail_base_seq_,
   /// last_seq_]: what Materialize applies (sequence order makes the merged
   /// row order independent of when merges happen — the replication

@@ -122,25 +122,21 @@ void ServeFrontend::RegisterVerbs() {
   // server owns a DataStore.
   dispatcher_.Register("ingest", VerbPolicy::kWorker,
                        std::bind_front(&ServeFrontend::RunIngest, this));
-  dispatcher_.Register("freshness", VerbPolicy::kWorker,
+  dispatcher_.Register("freshness", VerbPolicy::kInline,
                        [this](const VerbRequest&, Responder responder) {
     // Staleness probe: the live bundle embeds the data epoch it was
-    // trained from; the store's snapshot epoch says what the data looks
-    // like now. Unequal epochs mean a retrain would pick up new data.
-    // Worker, not inline: Snapshot() on a dirty store materializes base
-    // + tail — O(dataset) — and under active ingestion every append
-    // bumps the generation, so the per-generation cache cannot save an
-    // event-loop shard from that cost.
+    // trained from; the store's epoch says what the data looks like now.
+    // Unequal epochs mean a retrain would pick up new data. Inline: the
+    // store keeps its epoch as a running digest, and counters() reads it
+    // under the store's state lock only, never behind a log fsync.
     const auto bundle = service_->bundle();
-    const auto snapshot = options_.store->Snapshot();
-    const IngestStats stats = options_.store->stats();
+    const IngestStats stats = options_.store->counters();
     JsonValue out = JsonValue::Object();
     out.Set("ok", JsonValue::Bool(true));
     out.Set("bundle_version", JsonValue::String(bundle->version()));
     out.Set("bundle_epoch", JsonValue::String(HexEpoch(bundle->data_epoch())));
-    out.Set("store_epoch", JsonValue::String(HexEpoch(snapshot->epoch())));
-    out.Set("stale",
-            JsonValue::Bool(bundle->data_epoch() != snapshot->epoch()));
+    out.Set("store_epoch", JsonValue::String(HexEpoch(stats.epoch)));
+    out.Set("stale", JsonValue::Bool(bundle->data_epoch() != stats.epoch));
     out.Set("pending_mutations",
             JsonValue::Number(static_cast<double>(stats.pending)));
     out.Set("appended", JsonValue::Number(static_cast<double>(stats.appended)));
@@ -294,7 +290,9 @@ void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
     }
   }
   std::uint64_t last_seq = 0;
-  const Status appended = options_.store->AppendBatch(*mutations, &last_seq);
+  std::uint64_t epoch = 0;
+  const Status appended =
+      options_.store->AppendBatch(*mutations, &last_seq, &epoch);
   if (!appended.ok()) {
     responder.Respond(ErrorToJson(appended).Serialize());
     return;
@@ -318,15 +316,15 @@ void ServeFrontend::RunIngest(const JsonValue& request, Responder responder) {
       return;
     }
   }
-  const IngestStats stats = options_.store->stats();
   JsonValue out = JsonValue::Object();
   out.Set("ok", JsonValue::Bool(true));
   out.Set("appended",
           JsonValue::Number(static_cast<double>(mutations->size())));
   out.Set("pending_mutations",
-          JsonValue::Number(static_cast<double>(stats.pending)));
-  out.Set("store_epoch",
-          JsonValue::String(HexEpoch(options_.store->Snapshot()->epoch())));
+          JsonValue::Number(
+              static_cast<double>(options_.store->pending_mutations())));
+  // The epoch at this batch's own last_seq: later batches are theirs.
+  out.Set("store_epoch", JsonValue::String(HexEpoch(epoch)));
   if (options_.repl != nullptr) {
     out.Set("last_seq", JsonValue::Number(static_cast<double>(last_seq)));
   }

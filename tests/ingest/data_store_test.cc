@@ -291,12 +291,18 @@ TEST(DataStoreTest, AvailAppendedDuringMergeStaysVisible) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged->merged_mutations, 1u);  // the cut held only the RCC.
   EXPECT_EQ((*store)->pending_mutations(), 1u);
+  // The commit re-applied the post-cut avail onto the cut's digest: the
+  // running epoch still fingerprints the content.
+  EXPECT_EQ((*store)->epoch(),
+            ComputeDatasetFingerprint((*store)->Snapshot()->data()));
   EXPECT_TRUE(
       (*store)->Append(MakeRccUpsert(NewRcc(rcc_id + 1, avail_id))).ok());
   const auto snapshot = (*store)->Snapshot();
   EXPECT_TRUE(snapshot->data().avails.Find(avail_id).ok());
   EXPECT_TRUE(snapshot->data().rccs.Find(rcc_id + 1).ok());
   EXPECT_EQ((*store)->pending_mutations(), 2u);
+  EXPECT_EQ(snapshot->epoch(), ComputeDatasetFingerprint(snapshot->data()));
+  EXPECT_EQ((*store)->epoch(), snapshot->epoch());
 }
 
 TEST(DataStoreTest, MergeFaultLeavesStateIntactAndRetrySucceeds) {
@@ -417,11 +423,12 @@ TEST(DataStoreTest, CrashBeforeMergeReplaysTheLog) {
 }
 
 TEST(DataStoreTest, InPlaceAmendCannotServeStaleFingerprint) {
-  // The ViewCache regression this PR closes: the fingerprint memo probes
-  // {address, table sizes, last ids}, all of which survive an in-place
-  // amend of a middle row. A raw DatasetFingerprint would happily return
-  // the stale memo; every epoch bump therefore goes through
-  // DataStore::EpochOf, which drops the memo entry before hashing.
+  // The ViewCache regression: the fingerprint memo probes {address, table
+  // sizes, last ids}, all of which survive an in-place amend of a middle
+  // row — and all of which a fresh dataset built at a recycled address
+  // can match. A raw DatasetFingerprint would happily return the stale
+  // memo; InvalidateFingerprint drops the entry, which is what the store
+  // does for every dataset it publishes.
   Dataset data = SmallFleet();
   const std::uint64_t before = DatasetFingerprint(data);
 
@@ -432,11 +439,12 @@ TEST(DataStoreTest, InPlaceAmendCannotServeStaleFingerprint) {
 
   // The memoized path is fooled: same address, same sizes, same last ids.
   EXPECT_EQ(DatasetFingerprint(data), before);
-  // The DataStore epoch is not.
-  const std::uint64_t epoch = DataStore::EpochOf(data);
+  // After invalidation it is not.
+  InvalidateFingerprint(data);
+  const std::uint64_t epoch = DatasetFingerprint(data);
   EXPECT_NE(epoch, before);
   EXPECT_EQ(epoch, ComputeDatasetFingerprint(data));
-  // And EpochOf repaired the memo as a side effect.
+  // And the recompute repaired the memo.
   EXPECT_EQ(DatasetFingerprint(data), epoch);
 }
 
@@ -490,6 +498,9 @@ TEST(DataStoreConcurrencyTest, PinnedSnapshotsStableUnderWritersAndMerges) {
   EXPECT_EQ(final_snapshot->data().rccs.size(),
             pinned_rccs + kWriters * kPerWriter);
   EXPECT_EQ((*store)->pending_mutations(), 0u);
+  EXPECT_EQ(final_snapshot->epoch(),
+            ComputeDatasetFingerprint(final_snapshot->data()));
+  EXPECT_EQ((*store)->epoch(), final_snapshot->epoch());
 
   // The pin held through every concurrent append and merge.
   EXPECT_EQ(pinned->epoch(), pinned_epoch);

@@ -397,8 +397,8 @@ TEST(ReactorIngestTest, RetrainRejectsMultiComponentVersionAndFreshnessAnswers) 
   // The ingestion verb trio over a live socket: `retrain` must reject a
   // client-supplied version that names anything but a single path
   // component (a "../.." value would write and load a bundle outside the
-  // retrain root), and `freshness` — a worker verb now, since Snapshot()
-  // on a dirty store is O(dataset) — still answers the staleness probe.
+  // retrain root), and `freshness` — answered inline from the store's
+  // running epoch — still answers the staleness probe.
   const auto& fixture = GetServeFixture();
   auto store = DataStore::Open(fixture.v1->data());
   ASSERT_TRUE(store.ok()) << store.status().ToString();

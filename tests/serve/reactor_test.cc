@@ -211,31 +211,38 @@ TEST(ReactorTest, AbruptResetReapsConnectionWithoutLeakingBuffers) {
 TEST(ReactorTest, IdleTimeoutReapingIsDeterministicUnderInjectableClock) {
   // Fake time: the test advances `fake_ms` and only then may reaping
   // fire. Two connections with different activity times are reaped at
-  // their own deadlines, exercising lazy re-bucketing on the wheel.
+  // their own deadlines, exercising lazy re-bucketing on the wheel. One
+  // loop shard owns both connections, so a round trip on either one is a
+  // barrier: its response is written in a loop iteration that started
+  // after the previous iteration's reaping pass had run.
   auto fake_ms = std::make_shared<std::atomic<std::int64_t>>(0);
   const auto epoch = Reactor::Clock::now();
   ReactorOptions options;
+  options.num_shards = 1;
   options.idle_timeout = Ms(1000);
   options.clock = [fake_ms, epoch] {
     return epoch + Ms(fake_ms->load(std::memory_order_acquire));
   };
   auto reactor = MustCreate(options, EchoHandler());
+  const auto round_trip = [](TestClient& client) {
+    return client.SendLine("ping") && client.ReadLine().has_value();
+  };
 
+  // The acceptor counts a connection before its shard registers it, so
+  // each client proves its registration with a round trip at fake t=0:
+  // both last-activity stamps are 0, whenever the shard gets to them.
   TestClient idle_client = TestClient::Connect(reactor->port());
   ASSERT_TRUE(idle_client.connected());
-  ASSERT_TRUE(WaitFor([&] { return reactor->stats().open_connections == 1; }));
-
+  ASSERT_TRUE(round_trip(idle_client));
   TestClient active_client = TestClient::Connect(reactor->port());
   ASSERT_TRUE(active_client.connected());
-  ASSERT_TRUE(WaitFor([&] { return reactor->stats().open_connections == 2; }));
+  ASSERT_TRUE(round_trip(active_client));
 
-  // Refresh the active client at fake t=500ms.
+  // Refresh the active client at fake t=500ms. The second round trip
+  // guarantees a whole reaping pass ran at t=500, where no deadline is due.
   fake_ms->store(500);
-  ASSERT_TRUE(active_client.SendLine("keepalive"));
-  ASSERT_TRUE(active_client.ReadLine().has_value());
-
-  // Nothing may be reaped before any deadline.
-  std::this_thread::sleep_for(Ms(300));
+  ASSERT_TRUE(round_trip(active_client));
+  ASSERT_TRUE(round_trip(active_client));
   EXPECT_EQ(reactor->stats().idle_reaped, 0u);
   EXPECT_EQ(reactor->stats().open_connections, 2u);
 
@@ -244,16 +251,21 @@ TEST(ReactorTest, IdleTimeoutReapingIsDeterministicUnderInjectableClock) {
   fake_ms->store(1300);
   EXPECT_TRUE(WaitFor([&] { return reactor->stats().idle_reaped == 1; }));
   EXPECT_TRUE(idle_client.AtEof());
+  ASSERT_TRUE(round_trip(active_client));  // activity at 1300.
+  // The reaping pass that closed the idle connection finished before the
+  // iteration that answered the round trip began.
+  EXPECT_EQ(reactor->stats().idle_reaped, 1u);
   EXPECT_EQ(reactor->stats().open_connections, 1u);
-  ASSERT_TRUE(active_client.SendLine("still-here"));  // activity at 1300.
-  ASSERT_TRUE(active_client.ReadLine().has_value());
 
   // Fake t=2500ms: past the refreshed deadline (1300+1000) too.
   fake_ms->store(2500);
   EXPECT_TRUE(WaitFor([&] { return reactor->stats().idle_reaped == 2; }));
   EXPECT_TRUE(active_client.AtEof());
-  EXPECT_EQ(reactor->stats().open_connections, 0u);
-  EXPECT_EQ(reactor->stats().buffered_bytes, 0u);
+  // The close that follows the reaped count is on the shard thread.
+  EXPECT_TRUE(WaitFor([&] {
+    const auto stats = reactor->stats();
+    return stats.open_connections == 0 && stats.buffered_bytes == 0;
+  }));
 }
 
 TEST(ReactorTest, SlowReaderGetsBoundedBufferThenCleanDisconnect) {

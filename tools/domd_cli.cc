@@ -666,8 +666,7 @@ int CmdIngest(const Flags& flags) {
   std::printf("appended %zu mutations (%zu pending, log %zu bytes, "
               "epoch %016llx)\n",
               applied, stats.pending, stats.log_bytes,
-              static_cast<unsigned long long>(
-                  store->store->Snapshot()->epoch()));
+              static_cast<unsigned long long>(stats.epoch));
 
   if (IntFlag<int>(flags, "merge", 0, 0, 1) != 0) {
     auto merged = store->store->Merge();
