@@ -158,6 +158,9 @@ int Run(int fig6e_trials, int cache_trials) {
 
   std::ofstream json("BENCH_hpt_trials.json");
   json << "{\n  \"bench\": \"hpt_trials\",\n";
+  json << "  \"commit\": \"" << bench::SourceCommit() << "\",\n";
+  json << "  \"hardware_threads\": " << Parallelism::HardwareThreads()
+       << ",\n";
   json << "  \"fig6e_trials\": " << fig6e_trials << ",\n";
   json << "  \"cache_trials\": " << cache_trials << ",\n";
   json << "  \"stage_timings\": " << recorder.ToJson() << ",\n";

@@ -209,6 +209,7 @@ bool Run() {
 
   std::ofstream json("BENCH_parallel_scaling.json");
   json << "{\n  \"bench\": \"parallel_scaling\",\n";
+  json << "  \"commit\": \"" << bench::SourceCommit() << "\",\n";
   json << "  \"fleet\": {\"num_avails\": " << ids.size()
        << ", \"num_rccs\": " << data.rccs.size() << "},\n";
   json << "  \"hardware_threads\": " << Parallelism::HardwareThreads()

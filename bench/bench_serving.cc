@@ -690,7 +690,6 @@ int Run() {
   ServeOptions options;
   options.max_queue_depth = 256;
   options.max_batch_size = 16;
-  options.batch_linger = std::chrono::microseconds(200);
   PredictionService service(*v1, options);
 
   LoadPhaseResult load;
@@ -758,7 +757,6 @@ int Run() {
   // request.
   ServeOptions tight;
   tight.max_queue_depth = 2;
-  tight.batch_linger = std::chrono::milliseconds(20);
   PredictionService throttled(*v1, tight);
   std::vector<std::future<StatusOr<ServePrediction>>> burst;
   for (std::size_t i = 0; i < 32; ++i) {
@@ -848,6 +846,9 @@ int Run() {
 
   std::ofstream json("BENCH_serving.json");
   json << "{\n  \"bench\": \"serving\",\n";
+  json << "  \"commit\": \"" << bench::SourceCommit() << "\",\n";
+  json << "  \"hardware_threads\": " << Parallelism::HardwareThreads()
+       << ",\n";
   json << "  \"fleet\": {\"num_avails\": " << data.avails.size()
        << ", \"num_rccs\": " << data.rccs.size() << "},\n";
   json << "  \"client_threads\": " << kClientThreads

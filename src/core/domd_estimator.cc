@@ -107,6 +107,17 @@ StatusOr<DomdEstimator> DomdEstimator::LoadModelsFromStream(
     return Status::FailedPrecondition(
         "model file step count does not match its window width");
   }
+  // Scoring engineers exactly the selected columns, so each must name a
+  // catalog column.
+  for (const std::vector<std::size_t>& cols : models->selected_by_step()) {
+    for (std::size_t c : cols) {
+      if (c >= estimator.engineer_.catalog().size()) {
+        return Status::FailedPrecondition(
+            "model file selects feature column " + std::to_string(c) +
+            " outside the catalog");
+      }
+    }
+  }
   std::vector<std::int64_t> all_ids;
   all_ids.reserve(data->avails.size());
   for (const Avail& avail : data->avails.rows()) all_ids.push_back(avail.id);

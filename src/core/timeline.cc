@@ -1,5 +1,6 @@
 #include "core/timeline.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -47,15 +48,16 @@ StatusOr<std::unique_ptr<Regressor>> LoadRegressor(std::istream& in) {
 
 }  // namespace
 
-ModelingView BuildModelingView(const Dataset& data,
-                               const FeatureEngineer& engineer,
-                               const std::vector<std::int64_t>& avail_ids,
-                               const std::vector<double>& grid,
-                               const Parallelism& parallelism) {
+ModelingView BuildModelingView(
+    const Dataset& data, const FeatureEngineer& engineer,
+    const std::vector<std::int64_t>& avail_ids,
+    const std::vector<double>& grid, const Parallelism& parallelism,
+    const FeatureEngineer::StepColumns& step_columns) {
   ModelingView view;
   view.avail_ids = avail_ids;
   view.static_x = BuildStaticFeatures(data.avails, avail_ids);
-  view.dynamic = engineer.ComputeIncremental(avail_ids, grid, parallelism);
+  view.dynamic =
+      engineer.ComputeIncremental(avail_ids, grid, parallelism, step_columns);
   view.labels.assign(avail_ids.size(), 0.0);
   for (std::size_t i = 0; i < avail_ids.size(); ++i) {
     const auto avail = data.avails.Find(avail_ids[i]);
@@ -186,12 +188,13 @@ Matrix TimelineModelSet::BuildInputMatrix(
 
 std::vector<std::vector<double>> TimelineModelSet::PredictPerStep(
     const ModelingView& view) const {
-  std::vector<std::vector<double>> out(models_.size());
+  std::vector<std::vector<double>> out(
+      std::min(models_.size(), view.num_steps()));
   // One base-model sweep feeds every step's input matrix (stacked only);
   // PredictBatch is bit-identical to per-row Predict by contract.
   std::vector<double> base_pred;
   if (is_stacked()) base_pred = base_model_->PredictBatch(view.static_x);
-  for (std::size_t step = 0; step < models_.size(); ++step) {
+  for (std::size_t step = 0; step < out.size(); ++step) {
     const Matrix input = BuildInputMatrix(view, step, base_pred);
     out[step] = models_[step]->PredictBatch(input);
   }

@@ -33,12 +33,14 @@ struct ModelingView {
 };
 
 /// Builds a ModelingView for the given avails (labels 0 for non-closed).
-/// Feature engineering honors `parallelism` (bit-identical at any count).
-ModelingView BuildModelingView(const Dataset& data,
-                               const FeatureEngineer& engineer,
-                               const std::vector<std::int64_t>& avail_ids,
-                               const std::vector<double>& grid,
-                               const Parallelism& parallelism = {});
+/// Feature engineering honors `parallelism` (bit-identical at any count);
+/// `step_columns` restricts the dynamic cells filled per grid step, as in
+/// FeatureEngineer::ComputeIncremental (default: every column).
+ModelingView BuildModelingView(
+    const Dataset& data, const FeatureEngineer& engineer,
+    const std::vector<std::int64_t>& avail_ids,
+    const std::vector<double>& grid, const Parallelism& parallelism = {},
+    const FeatureEngineer::StepColumns& step_columns = {});
 
 /// The trained model set answering DoMD queries: one supervised model per
 /// logical-time grid point (1 + ceil(100/x) models), plus — under the
@@ -58,9 +60,11 @@ class TimelineModelSet {
              const std::vector<std::string>& dynamic_feature_names);
 
   /// Raw per-step predictions for every avail in the view:
-  /// result[step][row]. Batched: assembles one input matrix per step and
-  /// scores it through Regressor::PredictBatch — bit-identical to calling
-  /// BuildInputRow + Predict row by row.
+  /// result[step][row], for the first min(num_steps(), view.num_steps())
+  /// steps — a view engineered over a grid prefix scores only that prefix.
+  /// Batched: assembles one input matrix per step and scores it through
+  /// Regressor::PredictBatch — bit-identical to calling BuildInputRow +
+  /// Predict row by row.
   std::vector<std::vector<double>> PredictPerStep(
       const ModelingView& view) const;
 
@@ -83,6 +87,11 @@ class TimelineModelSet {
   /// Selected dynamic feature columns at a step.
   const std::vector<std::size_t>& selected_features(std::size_t step) const {
     return selected_[step];
+  }
+  /// Every step's selected dynamic columns, in step order: the column
+  /// lists a scorer passes to FeatureEngineer::ComputeIncremental.
+  const FeatureEngineer::StepColumns& selected_by_step() const {
+    return selected_;
   }
   std::size_t num_steps() const { return models_.size(); }
   /// The configuration the set was fitted (or loaded) with.

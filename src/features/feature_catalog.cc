@@ -131,6 +131,11 @@ FeatureCatalog::FeatureCatalog() {
   }
 }
 
+const FeatureCatalog& FeatureCatalog::Shared() {
+  static const FeatureCatalog& catalog = *new FeatureCatalog();
+  return catalog;
+}
+
 int FeatureCatalog::FindByName(const std::string& name) const {
   for (std::size_t i = 0; i < features_.size(); ++i) {
     if (features_[i].name == name) return static_cast<int>(i);
@@ -157,8 +162,7 @@ std::uint64_t FeatureCatalogVersion() {
     for (const std::string& name : StaticFeatureNames()) {
       hash = fnv1a(hash, name);
     }
-    const FeatureCatalog catalog;
-    for (const FeatureDef& def : catalog.features()) {
+    for (const FeatureDef& def : FeatureCatalog::Shared().features()) {
       hash = fnv1a(hash, def.name);
     }
     return hash;

@@ -58,6 +58,11 @@ class FeatureCatalog {
   /// Builds the full 1490-feature catalog.
   FeatureCatalog();
 
+  /// The process-wide catalog, built once on first use and never freed.
+  /// Feature engineers and the schema hash all read this one instance, so
+  /// constructing an engineer costs no name strings.
+  static const FeatureCatalog& Shared();
+
   const std::vector<FeatureDef>& features() const { return features_; }
   std::size_t size() const { return features_.size(); }
   const FeatureDef& feature(std::size_t i) const { return features_[i]; }

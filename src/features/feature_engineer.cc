@@ -31,21 +31,23 @@ void SetGroupClause(int group_id, StatusQuery* query) {
 
 }  // namespace
 
-FeatureEngineer::FeatureEngineer(const Dataset* data) : data_(data) {}
+FeatureEngineer::FeatureEngineer(const Dataset* data)
+    : data_(data), catalog_(&FeatureCatalog::Shared()) {}
 
 FeatureTensor FeatureEngineer::ComputeIncremental(
     const std::vector<std::int64_t>& avail_ids,
-    const std::vector<double>& time_grid,
-    const Parallelism& parallelism) const {
+    const std::vector<double>& time_grid, const Parallelism& parallelism,
+    const StepColumns& step_columns) const {
   DOMD_OBS_SPAN("features.block_sweep");
-  FeatureTensor tensor(avail_ids, time_grid, catalog_.size());
+  FeatureTensor tensor(avail_ids, time_grid, catalog_->size());
   if (avail_ids.empty()) return tensor;
 
   const int threads =
       std::min(parallelism.EffectiveThreads(),
                static_cast<int>(avail_ids.size()));
   if (threads <= 1) {
-    EngineerRows(avail_ids, 0, avail_ids.size(), time_grid, &tensor);
+    EngineerRows(avail_ids, 0, avail_ids.size(), time_grid, step_columns,
+                 &tensor);
     return tensor;
   }
   // Contiguous row blocks, one per worker; each block owns disjoint tensor
@@ -56,7 +58,7 @@ FeatureTensor FeatureEngineer::ComputeIncremental(
   const Status status = ParallelFor(
       threads, avail_ids.size(), grain,
       [&](std::size_t lo, std::size_t hi) {
-        EngineerRows(avail_ids, lo, hi, time_grid, &tensor);
+        EngineerRows(avail_ids, lo, hi, time_grid, step_columns, &tensor);
         return Status::OK();
       });
   (void)status;  // the body is infallible
@@ -66,6 +68,7 @@ FeatureTensor FeatureEngineer::ComputeIncremental(
 void FeatureEngineer::EngineerRows(const std::vector<std::int64_t>& avail_ids,
                                    std::size_t row_begin, std::size_t row_end,
                                    const std::vector<double>& time_grid,
+                                   const StepColumns& step_columns,
                                    FeatureTensor* tensor) const {
   const std::vector<std::int64_t> block(
       avail_ids.begin() + static_cast<std::ptrdiff_t>(row_begin),
@@ -80,13 +83,18 @@ void FeatureEngineer::EngineerRows(const std::vector<std::int64_t>& avail_ids,
     Matrix& slice = tensor->slice(step);
     for (std::size_t i = 0; i < block.size(); ++i) {
       const std::size_t row = row_begin + i;
-      for (std::size_t f = 0; f < catalog_.size(); ++f) {
-        const FeatureDef& def = catalog_.feature(f);
+      const auto fill = [&](std::size_t f) {
+        const FeatureDef& def = catalog_->feature(f);
         const GroupAggregates& agg = sweep.Get(block[i], def.group_id);
         slice.at(row, f) = FeatureValue(
             def.kind, agg, time_grid[step],
             prev_created[i * n_groups +
                          static_cast<std::size_t>(def.group_id)]);
+      };
+      if (step_columns.empty()) {
+        for (std::size_t f = 0; f < catalog_->size(); ++f) fill(f);
+      } else {
+        for (std::size_t f : step_columns[step]) fill(f);
       }
       // Snapshot created counts for the next step's window features.
       for (std::size_t g = 0; g < n_groups; ++g) {

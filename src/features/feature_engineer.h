@@ -22,19 +22,31 @@ namespace domd {
 /// and to quantify the incremental speedup.
 class FeatureEngineer {
  public:
-  /// The dataset must outlive the engineer.
+  /// Per-step column lists for ComputeIncremental: entry j names the
+  /// catalog columns to fill at grid step j.
+  using StepColumns = std::vector<std::vector<std::size_t>>;
+
+  /// The dataset must outlive the engineer. Every engineer reads the one
+  /// shared catalog (FeatureCatalog::Shared), so construction is free.
   explicit FeatureEngineer(const Dataset* data);
 
-  const FeatureCatalog& catalog() const { return catalog_; }
+  const FeatureCatalog& catalog() const { return *catalog_; }
 
   /// Incremental tensor construction for the given avails over the grid.
   /// With more than one thread, avails are partitioned into contiguous
   /// blocks and each worker drives its own StatStructure sweep over its
   /// block (incremental caching intact); rows are independent, so the
   /// tensor is bit-identical for every thread count.
+  ///
+  /// `step_columns` empty (the default) fills every catalog column.
+  /// Otherwise it holds at least one list per grid step, every index below
+  /// catalog().size(), and step j fills only the columns of entry j; the
+  /// others stay 0. A filled cell is bit-identical to the full tensor's:
+  /// the sweep and the window-feature carry still cover every group.
   FeatureTensor ComputeIncremental(const std::vector<std::int64_t>& avail_ids,
                                    const std::vector<double>& time_grid,
-                                   const Parallelism& parallelism = {}) const;
+                                   const Parallelism& parallelism = {},
+                                   const StepColumns& step_columns = {}) const;
 
   /// From-scratch evaluation of one feature for one avail at one t* through
   /// Algorithm StatusQ. prev_t_star feeds window features (pass the
@@ -52,10 +64,13 @@ class FeatureEngineer {
   void EngineerRows(const std::vector<std::int64_t>& avail_ids,
                     std::size_t row_begin, std::size_t row_end,
                     const std::vector<double>& time_grid,
+                    const StepColumns& step_columns,
                     FeatureTensor* tensor) const;
 
   const Dataset* data_;
-  FeatureCatalog catalog_;
+  /// A pointer, not a reference, so estimators holding an engineer stay
+  /// move-assignable.
+  const FeatureCatalog* catalog_;
 };
 
 }  // namespace domd

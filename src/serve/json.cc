@@ -43,14 +43,14 @@ JsonValue JsonValue::Object() {
 
 void JsonValue::Append(JsonValue value) { items_.push_back(std::move(value)); }
 
-void JsonValue::Set(const std::string& key, JsonValue value) {
+void JsonValue::Set(std::string key, JsonValue value) {
   for (auto& [k, v] : members_) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  members_.emplace_back(key, std::move(value));
+  members_.emplace_back(std::move(key), std::move(value));
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
@@ -321,8 +321,14 @@ class Parser {
         }
         continue;
       }
-      out += c;
-      ++pos_;
+      // Append the plain run up to the next quote or backslash in one call.
+      std::size_t stop = pos_ + 1;
+      while (stop < text_.size() && text_[stop] != '"' &&
+             text_[stop] != '\\') {
+        ++stop;
+      }
+      out.append(text_.data() + pos_, stop - pos_);
+      pos_ = stop;
     }
     return Status::InvalidArgument("json: unterminated string");
   }
@@ -377,7 +383,7 @@ class Parser {
       ++pos_;
       auto value = ParseValue(depth + 1);
       if (!value.ok()) return value.status();
-      object.Set(*key, std::move(*value));
+      object.Set(std::move(*key), std::move(*value));
       SkipWhitespace();
       if (pos_ >= text_.size()) {
         return Status::InvalidArgument("json: unterminated object");

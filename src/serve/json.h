@@ -51,8 +51,9 @@ class JsonValue {
 
   /// Appends to an array value.
   void Append(JsonValue value);
-  /// Sets (or overwrites) an object member.
-  void Set(const std::string& key, JsonValue value);
+  /// Sets (or overwrites) an object member. The key is taken by value so
+  /// a caller that owns it (the parser) can move it in.
+  void Set(std::string key, JsonValue value);
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;

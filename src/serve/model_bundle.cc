@@ -426,6 +426,7 @@ std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
   // may reuse ids without colliding inside a batch.
   Dataset batch_data;
   std::vector<std::size_t> valid_slots;  ///< request index per dataset row.
+  std::size_t max_last = 0;  ///< the deepest grid step any answer reads.
   std::int64_t next_rcc_id = 1;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ScoreRequest& request = requests[i];
@@ -444,21 +445,15 @@ std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
 
     Avail avail = request.avail;
     avail.id = temp_id;
-    std::vector<Rcc> rccs;
-    rccs.reserve(request.rccs.size());
-    for (const Rcc& original : request.rccs) {
-      Rcc rcc = original;
-      rcc.id = next_rcc_id + static_cast<std::int64_t>(rccs.size());
-      rcc.avail_id = temp_id;
-      rccs.push_back(std::move(rcc));
-    }
-
     status = batch_data.avails.Add(std::move(avail));
     if (!status.ok()) {
       out[i] = status;
       continue;
     }
-    for (Rcc& rcc : rccs) {
+    for (const Rcc& original : request.rccs) {
+      Rcc rcc = original;
+      rcc.id = next_rcc_id++;
+      rcc.avail_id = temp_id;
       status = batch_data.rccs.Add(std::move(rcc));
       if (!status.ok()) break;
     }
@@ -466,30 +461,37 @@ std::vector<StatusOr<ServePrediction>> ModelBundle::ScoreBatch(
       out[i] = status;
       continue;
     }
-    next_rcc_id += static_cast<std::int64_t>(rccs.size());
     valid_slots.push_back(i);
+    max_last = std::max(max_last, LastStep(grid(), request.t_star));
   }
   if (valid_slots.empty()) return out;
 
-  // One feature-engineering sweep for the whole micro-batch: the tensor
-  // block reuses the incremental StatStructure path and the ParallelFor
-  // substrate exactly like training does.
+  // One feature-engineering sweep for the whole micro-batch, over only
+  // what the answers read: the grid prefix 0..max_last, and at each step
+  // only that step model's selected columns. The tensor block reuses the
+  // incremental StatStructure path and the ParallelFor substrate exactly
+  // like training does, so every filled cell is bit-identical to it.
   std::vector<std::int64_t> temp_ids;
   temp_ids.reserve(valid_slots.size());
   for (std::size_t row = 0; row < valid_slots.size(); ++row) {
     temp_ids.push_back(static_cast<std::int64_t>(row) + 1);
   }
+  const TimelineModelSet& models = estimator_->models();
+  const std::vector<double> prefix(
+      grid().begin(),
+      grid().begin() + static_cast<std::ptrdiff_t>(max_last + 1));
   const FeatureEngineer engineer(&batch_data);
-  const ModelingView view = BuildModelingView(batch_data, engineer, temp_ids,
-                                              grid(), parallelism);
+  const ModelingView view =
+      BuildModelingView(batch_data, engineer, temp_ids, prefix, parallelism,
+                        models.selected_by_step());
 
-  // Batched scoring: one PredictPerStep sweep drives the breadth-first
-  // batch scorer over the whole micro-batch per step — bit-identical to
-  // the per-row BuildInputRow + Predict traversal ScoreReferenceAvail
-  // runs. BuildInputRow survives only for the single attribution input
-  // FinishPrediction builds per request.
+  // Batched scoring: one PredictPerStep sweep over the prefix drives the
+  // breadth-first batch scorer over the whole micro-batch per step —
+  // bit-identical to the per-row BuildInputRow + Predict traversal
+  // ScoreReferenceAvail runs. BuildInputRow survives only for the single
+  // attribution input FinishPrediction builds per request.
   const std::vector<std::vector<double>> per_step_all =
-      estimator_->models().PredictPerStep(view);
+      models.PredictPerStep(view);
   for (std::size_t row = 0; row < valid_slots.size(); ++row) {
     const std::size_t slot = valid_slots[row];
     const ScoreRequest& request = requests[slot];

@@ -267,15 +267,8 @@ void PredictionService::BatcherLoop() {
           lock, [this] { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutting down, fully drained.
 
-      // Micro-batching: linger briefly for more arrivals unless a full
-      // batch (or shutdown) is already in hand.
-      if (queue_.size() < options_.max_batch_size && !shutting_down_ &&
-          options_.batch_linger.count() > 0) {
-        work_available_.wait_for(lock, options_.batch_linger, [this] {
-          return shutting_down_ ||
-                 queue_.size() >= options_.max_batch_size;
-        });
-      }
+      // Opportunistic micro-batching: take what queued while the previous
+      // batch scored, without waiting for more arrivals.
       const std::size_t take =
           std::min(queue_.size(), options_.max_batch_size);
       batch.reserve(take);
@@ -314,7 +307,9 @@ void PredictionService::BatcherLoop() {
 
     std::vector<ScoreRequest> requests;
     requests.reserve(live.size());
-    for (const Pending& pending : live) requests.push_back(pending.request);
+    for (Pending& pending : live) {
+      requests.push_back(std::move(pending.request));
+    }
 
     // Whole-batch fault gate: "serve.batch.score" models infrastructure
     // failures that take down an entire scoring pass (as opposed to

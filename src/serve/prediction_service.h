@@ -56,11 +56,10 @@ struct ServeOptions {
   /// growth).
   std::size_t max_queue_depth = 256;
   /// Upper bound on requests scored in one micro-batch (one feature-tensor
-  /// block).
+  /// block). Batching is opportunistic: a batch is whatever queued while
+  /// the previous one scored, up to this bound; the batcher never waits
+  /// for batch-mates that have not arrived.
   std::size_t max_batch_size = 16;
-  /// How long the batcher lingers for more arrivals once it holds fewer
-  /// than max_batch_size requests. 0 = score whatever is queued at once.
-  std::chrono::microseconds batch_linger{200};
   /// Parallelism of the per-batch feature-engineering sweep.
   Parallelism parallelism;
   /// Circuit breaker: after this many consecutive whole-batch scoring
@@ -154,8 +153,9 @@ struct ServeStatsSnapshot {
 ///  - Admission is bounded: `Submit` either enqueues and returns a future,
 ///    or completes the future immediately with kResourceExhausted.
 ///  - A single batcher thread drains the queue in micro-batches of up to
-///    max_batch_size, lingering batch_linger for arrivals; each batch is
-///    one ModelBundle::ScoreBatch call (one feature-tensor block on the
+///    max_batch_size: each batch is whatever queued while the previous one
+///    scored, taken without waiting for more. Each batch is one
+///    ModelBundle::ScoreBatch call (one feature-tensor block on the
 ///    ParallelFor substrate).
 ///  - Per-request deadlines are honored at dequeue: an expired request is
 ///    answered kDeadlineExceeded without being scored.

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
@@ -136,6 +137,9 @@ struct Connection {
   int fd = -1;
   std::uint64_t id = 0;
   std::string read_buffer;
+  /// Prefix of read_buffer already searched for '\n' without a hit, so
+  /// each recv scans only the bytes it added.
+  std::size_t scanned = 0;
   std::string write_buffer;
   std::size_t write_offset = 0;  ///< sent prefix of write_buffer.
   std::deque<Slot> slots;        ///< ordered response slots.
@@ -629,37 +633,34 @@ void EnqueueImmediate(Connection& conn, const std::string& text) {
 
 /// Splits the read buffer into request lines and hands each to the
 /// handler. Oversized lines are answered and discarded without killing
-/// the connection.
+/// the connection. Only bytes past `conn.scanned` are searched for a
+/// newline, and consumed lines leave the buffer in one erase, so a long
+/// line arriving in many chunks costs linear, not quadratic, scanning.
 void ParseLines(ShardContext& ctx, Connection& conn) {
+  std::string& buffer = conn.read_buffer;
+  const std::size_t max_bytes = ctx.options->max_request_bytes;
+  const auto reject_oversized = [&] {
+    ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
+    Bump(ReactorCells().oversized);
+    EnqueueImmediate(conn, ctx.options->oversize_response);
+  };
+  std::size_t begin = 0;  ///< first byte of the next unconsumed line.
   for (;;) {
-    const std::size_t newline = conn.read_buffer.find('\n');
-    if (conn.discarding) {
-      if (newline == std::string::npos) {
-        conn.read_buffer.clear();  // still inside the oversized line.
-        return;
-      }
-      conn.read_buffer.erase(0, newline + 1);
+    const std::size_t newline =
+        buffer.find('\n', std::max(begin, conn.scanned));
+    if (newline == std::string::npos) break;
+    const std::size_t line_begin = begin;
+    begin = newline + 1;
+    if (conn.discarding) {  // the tail of an oversized line.
       conn.discarding = false;
       continue;
     }
-    if (newline == std::string::npos) {
-      if (conn.read_buffer.size() > ctx.options->max_request_bytes) {
-        ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
-        Bump(ReactorCells().oversized);
-        EnqueueImmediate(conn, ctx.options->oversize_response);
-        conn.discarding = true;
-        conn.read_buffer.clear();
-      }
-      return;
-    }
-    std::string line = conn.read_buffer.substr(0, newline);
-    conn.read_buffer.erase(0, newline + 1);
-    if (line.size() > ctx.options->max_request_bytes) {
-      ctx.oversized_requests->fetch_add(1, std::memory_order_relaxed);
-      Bump(ReactorCells().oversized);
-      EnqueueImmediate(conn, ctx.options->oversize_response);
+    const std::size_t length = newline - line_begin;
+    if (length > max_bytes) {
+      reject_oversized();
       continue;
     }
+    std::string line = buffer.substr(line_begin, length);
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     ctx.requests->fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t seq = conn.next_seq++;
@@ -667,6 +668,18 @@ void ParseLines(ShardContext& ctx, Connection& conn) {
     (*ctx.handler)(std::move(line),
                    reactor_internal::MakeResponder(ctx.shard->mailbox, conn.id, seq));
   }
+  buffer.erase(0, begin);
+  conn.scanned = buffer.size();
+  if (conn.discarding) {
+    buffer.clear();  // still inside the oversized line.
+  } else if (buffer.size() > max_bytes) {
+    // An oversized line still without its newline: answer now and drop
+    // the rest of it as it arrives.
+    reject_oversized();
+    conn.discarding = true;
+    buffer.clear();
+  }
+  if (buffer.empty()) conn.scanned = 0;
 }
 
 void HandleReadable(ShardContext& ctx, std::uint64_t conn_id) {

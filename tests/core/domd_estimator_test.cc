@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "core/test_helpers.h"
 #include "data/logical_time.h"
@@ -159,6 +161,27 @@ TEST_F(DomdEstimatorTest, TrainRejectsUnsupportedConfig) {
   const auto bad_fusion = DomdEstimator::Train(data_, fusion, split_->train);
   ASSERT_FALSE(bad_fusion.ok());
   EXPECT_EQ(bad_fusion.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(DomdEstimatorTest, LoadRejectsSelectedColumnOutsideCatalog) {
+  // Scoring engineers exactly the selected columns, so a model file that
+  // selects a column past the catalog must not load.
+  ASSERT_TRUE(estimator_->ok());
+  std::ostringstream saved;
+  ASSERT_TRUE((*estimator_)->models().Save(saved).ok());
+  std::istringstream intact(saved.str());
+  ASSERT_TRUE(DomdEstimator::LoadModelsFromStream(data_, intact).ok());
+
+  std::string text = saved.str();
+  const std::size_t record = text.find("\nselected ");
+  ASSERT_NE(record, std::string::npos);
+  const std::size_t first_column = text.find(' ', record + 10) + 1;
+  const std::size_t end = text.find_first_of(" \n", first_column);
+  text.replace(first_column, end - first_column, "1490");
+  std::istringstream tampered(text);
+  const auto loaded = DomdEstimator::LoadModelsFromStream(data_, tampered);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(DomdEstimatorTest, PredictionsAreUsefulOnTestSet) {

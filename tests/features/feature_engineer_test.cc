@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "data/logical_time.h"
 #include "features/static_features.h"
@@ -146,6 +149,60 @@ TEST(FeatureEngineerTest, WindowFeatureSumsToTotal) {
     EXPECT_DOUBLE_EQ(window_sum,
                      tensor.slice(grid.size() - 1)
                          .at(row, static_cast<std::size_t>(total_col)));
+  }
+}
+
+TEST(FeatureEngineerTest, ParallelColumnListsOverAGridPrefixMatchFullTensor) {
+  // The detached scorer's sweep: a grid prefix, and per step only a list
+  // of columns. Every filled cell must equal the full tensor's bit for bit
+  // (window features included, whose carry spans every group), every other
+  // cell stays 0, at one thread and at four.
+  const Dataset data = SmallData(5);
+  const FeatureEngineer engineer(&data);
+  const auto ids = AllIds(data);
+  const std::vector<double> grid = LogicalTimeGrid(10.0);
+  const FeatureTensor full = engineer.ComputeIncremental(ids, grid);
+
+  const std::size_t n_features = engineer.catalog().size();
+  const int window = engineer.catalog().FindByName("G1-CREATED_COUNT_WINDOW");
+  ASSERT_GE(window, 0);
+  FeatureEngineer::StepColumns columns(grid.size());
+  for (std::size_t step = 0; step < grid.size(); ++step) {
+    // A different, unsorted spread of columns per step.
+    for (std::size_t f = (step * 37) % 97; f < n_features; f += 97 + step) {
+      columns[step].push_back(f);
+    }
+    std::reverse(columns[step].begin(), columns[step].end());
+    columns[step].push_back(static_cast<std::size_t>(window));
+  }
+
+  for (const std::size_t prefix_len : {std::size_t{1}, std::size_t{4},
+                                       grid.size()}) {
+    const std::vector<double> prefix(grid.begin(),
+                                     grid.begin() + prefix_len);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("prefix " + std::to_string(prefix_len) + " threads " +
+                   std::to_string(threads));
+      Parallelism parallelism;
+      parallelism.num_threads = threads;
+      const FeatureTensor partial =
+          engineer.ComputeIncremental(ids, prefix, parallelism, columns);
+      ASSERT_EQ(partial.num_steps(), prefix_len);
+      ASSERT_EQ(partial.num_features(), n_features);
+      for (std::size_t step = 0; step < prefix_len; ++step) {
+        std::vector<bool> filled(n_features, false);
+        for (std::size_t f : columns[step]) filled[f] = true;
+        for (std::size_t row = 0; row < ids.size(); ++row) {
+          for (std::size_t f = 0; f < n_features; ++f) {
+            const double want = filled[f] ? full.slice(step).at(row, f) : 0.0;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          partial.slice(step).at(row, f)),
+                      std::bit_cast<std::uint64_t>(want))
+                << "step " << step << " row " << row << " feature " << f;
+          }
+        }
+      }
+    }
   }
 }
 

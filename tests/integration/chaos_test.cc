@@ -207,7 +207,6 @@ TEST(ChaosTest, FailedHotSwapKeepsLastKnownGoodBitIdentical) {
   const auto& fixture = GetServeFixture();
   ServeOptions options;
   options.max_batch_size = 4;
-  options.batch_linger = std::chrono::microseconds(0);
   PredictionService service(fixture.v1, options);
 
   const auto request = [&fixture](std::int64_t avail_id) {
@@ -253,7 +252,6 @@ TEST(ChaosTest, BreakerShedsLoadAndRecoversThroughHalfOpenProbe) {
   const auto& fixture = GetServeFixture();
   ServeOptions options;
   options.max_batch_size = 1;
-  options.batch_linger = std::chrono::microseconds(0);
   options.breaker_failure_threshold = 2;
   options.breaker_open_duration = std::chrono::milliseconds(100);
   PredictionService service(fixture.v1, options);
@@ -295,7 +293,6 @@ TEST(ChaosTest, FailedHalfOpenProbeReopensTheBreaker) {
   const auto& fixture = GetServeFixture();
   ServeOptions options;
   options.max_batch_size = 1;
-  options.batch_linger = std::chrono::microseconds(0);
   options.breaker_failure_threshold = 1;
   options.breaker_open_duration = std::chrono::milliseconds(50);
   PredictionService service(fixture.v1, options);
@@ -330,7 +327,6 @@ TEST(ChaosTest, ArmedButDisabledFaultsChangeNothing) {
   ExpectSamePredictions(Fingerprint(*fixture.v1), Fingerprint(**loaded));
 
   ServeOptions options;
-  options.batch_linger = std::chrono::microseconds(0);
   PredictionService service(*loaded, options);
   const std::int64_t probe_id = fixture.pipeline.data.avails.rows()[0].id;
   const auto scored = service.Predict(

@@ -254,7 +254,6 @@ TEST(ReactorChaosTest, BreakerShedsAndRecoversOverTheWire) {
   const auto& fixture = GetServeFixture();
   ServeOptions options;
   options.max_batch_size = 1;
-  options.batch_linger = std::chrono::microseconds(0);
   options.breaker_failure_threshold = 2;
   options.breaker_open_duration = std::chrono::milliseconds(100);
   WireServer server(fixture.v1, options);
@@ -299,7 +298,6 @@ TEST(ReactorChaosTest, OverloadShedsWithResourceExhaustedInOrder) {
   ServeOptions options;
   options.max_queue_depth = 1;
   options.max_batch_size = 1;
-  options.batch_linger = std::chrono::microseconds(0);
   WireServer server(fixture.v1, options);
   TestClient client = TestClient::Connect(server.port());
   ASSERT_TRUE(client.connected());

@@ -6,6 +6,7 @@
 #include "serve/model_bundle.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -332,6 +333,130 @@ TEST(ModelBundleTest, DetachedScoreBatchMatchesReferenceBitIdentically) {
     }
   }
 }
+
+/// A stacked-architecture bundle over the serving fixture's fleet, on a
+/// finer grid than the fixture's non-stacked one (5 steps, not 3). Built
+/// once per process.
+const ModelBundle& StackedBundle() {
+  static const ModelBundle& bundle = *[] {
+    const auto& fixture = GetServeFixture();
+    PipelineConfig config = testing_internal::FastConfig();
+    config.architecture = Architecture::kStacked;
+    auto estimator = DomdEstimator::Train(&fixture.pipeline.data, config,
+                                          fixture.pipeline.split.train);
+    EXPECT_TRUE(estimator.ok()) << estimator.status();
+    const std::string dir = ::testing::TempDir() + "/domd_stacked_bundle." +
+                            std::to_string(::getpid());
+    EXPECT_TRUE(
+        ModelBundle::Write(*estimator, fixture.pipeline.data, dir, "stacked")
+            .ok());
+    auto loaded = ModelBundle::Load(dir);
+    EXPECT_TRUE(loaded.ok()) << loaded.status();
+    return new std::shared_ptr<const ModelBundle>(std::move(*loaded));
+  }()->get();
+  return bundle;
+}
+
+/// Every field of two answers agrees bit for bit (the caller-local avail id
+/// excepted: a detached answer echoes the request's, a reference answer
+/// the fleet's).
+void ExpectSameAnswer(const ServePrediction& got,
+                      const ServePrediction& want) {
+  EXPECT_TRUE(BitIdentical(got.t_star, want.t_star));
+  EXPECT_TRUE(BitIdentical(got.estimate_days, want.estimate_days));
+  EXPECT_TRUE(BitIdentical(got.band_low, want.band_low));
+  EXPECT_TRUE(BitIdentical(got.band_high, want.band_high));
+  EXPECT_EQ(got.num_steps, want.num_steps);
+  EXPECT_EQ(got.bundle_version, want.bundle_version);
+  ASSERT_EQ(got.top_features.size(), want.top_features.size());
+  for (std::size_t k = 0; k < want.top_features.size(); ++k) {
+    EXPECT_EQ(got.top_features[k].feature_name,
+              want.top_features[k].feature_name);
+    EXPECT_TRUE(BitIdentical(got.top_features[k].contribution,
+                             want.top_features[k].contribution));
+  }
+}
+
+/// Every grid t*, before the grid, past its end and between grid points.
+std::vector<double> ProbeTStars(const ModelBundle& bundle) {
+  std::vector<double> t_stars = bundle.grid();
+  for (const double t : {-5.0, -0.001, 0.5, 37.5, 55.0, 99.999, 100.001,
+                         250.0}) {
+    t_stars.push_back(t);
+  }
+  return t_stars;
+}
+
+class ModelBundleScoreBatchTest : public ::testing::TestWithParam<bool> {
+ protected:
+  const ModelBundle& bundle() const {
+    return GetParam() ? StackedBundle() : *GetServeFixture().v1;
+  }
+};
+
+TEST_P(ModelBundleScoreBatchTest, SoloDetachedEqualsReferenceAtEveryTStar) {
+  // The detached path engineers only the grid prefix the answer reads and
+  // only the selected columns; the reference path reads the bundle's full
+  // tensor. They must agree on every field at every t*.
+  const auto& fixture = GetServeFixture();
+  ASSERT_EQ(bundle().estimator().models().is_stacked(), GetParam());
+  for (std::size_t i = 0; i < 4 && i < fixture.pipeline.split.test.size();
+       ++i) {
+    const std::int64_t id = fixture.pipeline.split.test[i];
+    for (const double t_star : ProbeTStars(bundle())) {
+      SCOPED_TRACE("avail " + std::to_string(id) + " t* " +
+                   std::to_string(t_star));
+      const auto solo = bundle().ScoreBatch(
+          {MakeDetachedRequest(fixture.pipeline.data, id, t_star, 4)});
+      const auto reference = bundle().ScoreReferenceAvail(id, t_star, 4);
+      ASSERT_TRUE(solo[0].ok()) << solo[0].status();
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      ExpectSameAnswer(*solo[0], *reference);
+    }
+  }
+}
+
+TEST_P(ModelBundleScoreBatchTest, MixedTStarBatchEqualsSoloAnswers) {
+  // One batch whose slots read different grid prefixes (and one bad slot):
+  // the batch sweeps to the deepest, and every slot still answers exactly
+  // as it would alone.
+  const auto& fixture = GetServeFixture();
+  const std::vector<double> t_stars = ProbeTStars(bundle());
+  std::vector<ScoreRequest> requests;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::int64_t id =
+        fixture.pipeline.split.test[i % fixture.pipeline.split.test.size()];
+    requests.push_back(MakeDetachedRequest(fixture.pipeline.data, id,
+                                           t_stars[(i * 7) % t_stars.size()],
+                                           1 + i % 5));
+  }
+  requests[5] = ScoreRequest{};  // invalid: must not shift its neighbours.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Parallelism parallelism;
+    parallelism.num_threads = threads;
+    const auto batch = bundle().ScoreBatch(requests, parallelism);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE("slot " + std::to_string(i));
+      const auto solo = bundle().ScoreBatch({requests[i]});
+      if (i == 5) {
+        EXPECT_EQ(batch[i].status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(batch[i].ok()) << batch[i].status();
+      ASSERT_TRUE(solo[0].ok()) << solo[0].status();
+      EXPECT_EQ(batch[i]->avail_id, requests[i].avail.id);
+      ExpectSameAnswer(*batch[i], *solo[0]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Architectures, ModelBundleScoreBatchTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Stacked" : "NonStacked";
+                         });
 
 TEST(ModelBundleTest, ScoreBatchAnswersEverySlotEvenWithBadRequests) {
   const auto& fixture = GetServeFixture();

@@ -15,9 +15,19 @@
 #include <thread>
 #include <vector>
 
+#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "serve/serve_test_fixture.h"
 #include "serve/wire.h"
+
+// The batching tests hold the batcher inside the serve.batch.score fault
+// point; in a -DDOMD_DISABLE_FAULTS build they self-skip.
+#if DOMD_FAULT_COMPILED
+#define DOMD_SKIP_WITHOUT_FAULTS() (void)0
+#else
+#define DOMD_SKIP_WITHOUT_FAULTS() \
+  GTEST_SKIP() << "fault injection compiled out (DOMD_DISABLE_FAULTS)"
+#endif
 
 namespace domd {
 namespace {
@@ -28,6 +38,27 @@ using testing_internal::MakeDetachedRequest;
 bool BitIdentical(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
+
+/// Holds the batcher on its current batch: arms a latency fault on the
+/// whole-batch gate every batch passes, so requests submitted while it
+/// sleeps queue up deterministically instead of racing the batcher.
+class BatcherHold {
+ public:
+  BatcherHold()
+      : injection_("serve.batch.score=latency-ms:100"),
+        point_(fault::FaultRegistry::Default().GetPoint("serve.batch.score")),
+        hits_before_(point_.hits()) {}
+
+  /// Blocks until the batcher has dequeued a batch and entered the gate.
+  void WaitUntilHeld() const {
+    while (point_.hits() == hits_before_) std::this_thread::yield();
+  }
+
+ private:
+  fault::ScopedFaultInjection injection_;
+  fault::FaultPoint& point_;
+  std::uint64_t hits_before_;
+};
 
 TEST(PredictionServiceTest, PredictMatchesDirectBundleScoring) {
   const auto& fixture = GetServeFixture();
@@ -44,32 +75,42 @@ TEST(PredictionServiceTest, PredictMatchesDirectBundleScoring) {
 }
 
 TEST(PredictionServiceTest, MicroBatchesCoalesceQueuedRequests) {
+  DOMD_SKIP_WITHOUT_FAULTS();
   const auto& fixture = GetServeFixture();
   ServeOptions options;
-  options.batch_linger = std::chrono::milliseconds(500);
   options.max_batch_size = 8;
   PredictionService service(fixture.v1, options);
-
-  std::vector<std::future<StatusOr<ServePrediction>>> futures;
-  for (std::size_t i = 0; i < 4; ++i) {
-    futures.push_back(service.Submit(MakeDetachedRequest(
+  std::vector<ScoreRequest> requests;
+  for (std::size_t i = 0; i < 5; ++i) {
+    requests.push_back(MakeDetachedRequest(
         fixture.pipeline.data,
-        fixture.pipeline.split
-            .test[i % fixture.pipeline.split.test.size()])));
+        fixture.pipeline.split.test[i % fixture.pipeline.split.test.size()]));
   }
-  for (auto& future : futures) {
-    const auto result = future.get();
-    ASSERT_TRUE(result.ok()) << result.status();
+
+  // The batcher takes the first request alone and is held scoring it;
+  // the next four queue meanwhile and must form exactly one batch.
+  std::vector<std::future<StatusOr<ServePrediction>>> futures;
+  {
+    BatcherHold hold;
+    futures.push_back(service.Submit(requests[0]));
+    hold.WaitUntilHeld();
+    for (std::size_t i = 1; i < requests.size(); ++i) {
+      futures.push_back(service.Submit(requests[i]));
+    }
+    for (auto& future : futures) {
+      const auto result = future.get();
+      ASSERT_TRUE(result.ok()) << result.status();
+    }
   }
   const ServeStatsSnapshot stats = service.stats();
-  EXPECT_EQ(stats.submitted, 4u);
-  EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.completed_ok, 4u);
-  EXPECT_EQ(stats.batched_requests, 4u);
-  // All four arrive within the 500 ms linger window: one tensor block.
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.submitted, 5u);
+  EXPECT_EQ(stats.accepted, 5u);
+  EXPECT_EQ(stats.completed_ok, 5u);
+  EXPECT_EQ(stats.batched_requests, 5u);
+  // One batch of 1, then one tensor block for the four that queued.
+  EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_GE(stats.queue_depth_hwm, 1u);
+  EXPECT_EQ(stats.queue_depth_hwm, 4u);
 }
 
 TEST(PredictionServiceTest, OverloadRejectsWithResourceExhausted) {
@@ -87,28 +128,35 @@ TEST(PredictionServiceTest, OverloadRejectsWithResourceExhausted) {
 }
 
 TEST(PredictionServiceTest, BoundedQueueRejectsWhileFullThenRecovers) {
+  DOMD_SKIP_WITHOUT_FAULTS();
   const auto& fixture = GetServeFixture();
   ServeOptions options;
   options.max_queue_depth = 1;
-  options.batch_linger = std::chrono::milliseconds(500);
   PredictionService service(fixture.v1, options);
   const ScoreRequest request = MakeDetachedRequest(
       fixture.pipeline.data, fixture.pipeline.split.test.front());
 
-  // The first submit occupies the whole queue; while the batcher lingers,
-  // the second one must bounce with the explicit backpressure status.
-  auto accepted = service.Submit(request);
-  const auto rejected = service.Predict(request);
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-
-  const auto result = accepted.get();
-  ASSERT_TRUE(result.ok()) << result.status();
+  {
+    // While the batcher is held on the first request, the second one
+    // occupies the whole queue and the third must bounce with the
+    // explicit backpressure status.
+    BatcherHold hold;
+    auto scoring = service.Submit(request);
+    hold.WaitUntilHeld();
+    auto queued = service.Submit(request);
+    const auto rejected = service.Predict(request);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+    for (auto* future : {&scoring, &queued}) {
+      const auto result = future->get();
+      ASSERT_TRUE(result.ok()) << result.status();
+    }
+  }
   // Once drained, admission reopens.
   const auto retry = service.Predict(request);
   ASSERT_TRUE(retry.ok()) << retry.status();
   const ServeStatsSnapshot stats = service.stats();
   EXPECT_EQ(stats.rejected_overload, 1u);
-  EXPECT_EQ(stats.completed_ok, 2u);
+  EXPECT_EQ(stats.completed_ok, 3u);
 }
 
 TEST(PredictionServiceTest, ExpiredDeadlineAnsweredWithoutScoring) {
@@ -205,9 +253,7 @@ TEST(PredictionServiceTest, HotSwapUnderLoadNeverTearsAModel) {
 
 TEST(PredictionServiceTest, ShutdownDrainsAcceptedRequestsThenFailsFast) {
   const auto& fixture = GetServeFixture();
-  ServeOptions options;
-  options.batch_linger = std::chrono::milliseconds(250);
-  PredictionService service(fixture.v1, options);
+  PredictionService service(fixture.v1);
   const ScoreRequest request = MakeDetachedRequest(
       fixture.pipeline.data, fixture.pipeline.split.test.front());
 

@@ -437,5 +437,43 @@ TEST(ReactorTest, WhitespaceOnlyLinesAreIgnored) {
   EXPECT_EQ(reactor->stats().requests, 1u);
 }
 
+TEST(ReactorTest, LongLineInManyChunksIsOneRequest) {
+  // A 250 KB line spans at least 16 reads of the reactor's 16 KB recv
+  // buffer; sent in 4 KB writes it arrives in many more. Whatever the
+  // slicing, it frames as exactly one request, and a line over the bound
+  // is still answered early and discarded up to its newline.
+  ReactorOptions options;
+  options.max_request_bytes = 300 * 1024;
+  options.oversize_response = "oversized";
+  auto reactor = MustCreate(options, [](std::string line, Responder r) {
+    r.Respond("len:" + std::to_string(line.size()));
+  });
+  TestClient client = TestClient::Connect(reactor->port());
+  ASSERT_TRUE(client.connected());
+  const auto send_in_chunks = [&client](const std::string& bytes) {
+    for (std::size_t offset = 0; offset < bytes.size(); offset += 4096) {
+      if (!client.Send(bytes.substr(offset, 4096))) return false;
+      if (offset % (64 * 1024) == 0) std::this_thread::sleep_for(Ms(1));
+    }
+    return true;
+  };
+
+  ASSERT_TRUE(send_in_chunks(std::string(250 * 1024, 'a') + "\n"));
+  auto response = client.ReadLine();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "len:" + std::to_string(250 * 1024));
+  EXPECT_EQ(reactor->stats().requests, 1u);
+
+  ASSERT_TRUE(send_in_chunks(std::string(400 * 1024, 'b') + "\nafter\n"));
+  response = client.ReadLine();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "oversized");
+  response = client.ReadLine();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "len:5");
+  EXPECT_EQ(reactor->stats().requests, 2u);
+  EXPECT_EQ(reactor->stats().oversized_requests, 1u);
+}
+
 }  // namespace
 }  // namespace domd

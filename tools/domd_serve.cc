@@ -1,7 +1,7 @@
 // domd_serve — online DoMD prediction service over newline-delimited JSON.
 //
 //   domd_serve --bundle DIR [--port P] [--threads N] [--max-queue Q]
-//              [--max-batch B] [--batch-linger-us U] [--cache-bytes B]
+//              [--max-batch B] [--cache-bytes B]
 //              [--load-retries R] [--breaker-threshold K]
 //              [--breaker-open-ms M] [--loop-shards S]
 //              [--max-connections C] [--idle-timeout-ms T]
@@ -118,8 +118,6 @@ int Run(const Flags& flags) {
   ServeOptions options;
   options.max_queue_depth = IntFlag<std::size_t>(flags, "max-queue", 256);
   options.max_batch_size = IntFlag<std::size_t>(flags, "max-batch", 16);
-  options.batch_linger = std::chrono::microseconds(
-      IntFlag<int>(flags, "batch-linger-us", 200, 0));
   options.parallelism = parallelism;
   options.breaker_failure_threshold =
       IntFlag<std::size_t>(flags, "breaker-threshold", 5);
